@@ -40,9 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="frequency grid points per block width A")
     common.add_argument("--time-steps", type=int,
                         help="override the time-quadrature step count")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int,
-                        help="cap on worker threads (evaluation is serial; accepted for manifests)")
 
     p = sub.add_parser("trees", parents=[common], help="count or enumerate ternary-quinary trees")
     p.add_argument("--count", nargs=2, type=int, metavar=("K", "P"))
@@ -104,7 +101,6 @@ def _data_flags(p: argparse.ArgumentParser) -> None:
 _DEFAULTS = {
     "format": "json",
     "margin": estimates.DEFAULT_MARGIN,
-    "seed": 0,
     "depth_cap": trees.DEFAULT_DEPTH_CAP,
     "s": -1.0,
     "A": 16.0,

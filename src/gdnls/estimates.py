@@ -18,12 +18,12 @@ import numpy as np
 from .errors import ConfigurationError
 from .picard import TimeGrid, xi_generation, xi_level
 from .spectrum import (
-    FrequencyGrid,
     ParameterSet,
     SpectralFunction,
     default_grid,
     fl_norm,
     make_phi,
+    resample,
     sobolev_norm,
 )
 
@@ -123,10 +123,6 @@ def box_convolution(boxes: Sequence[BoxSpec], xi) -> np.ndarray:
     return width ** (n - 1) * cardinal_bspline(n, x)
 
 
-def _moments(params: ParameterSet) -> tuple[float, float, float]:
-    return params.N, params.R, params.A
-
-
 def _prepare_generation(
     params: ParameterSet,
     k: int,
@@ -158,7 +154,7 @@ def verify_lemma25(
     against their N^k / N^(k+1) counterparts."""
     if k + p > 2:
         raise ConfigurationError("generation cap for verification is k + p <= 2")
-    N, R, A = _moments(params)
+    N, R, A = params.N, params.R, params.A
     t_max = params.T
     grid, tg, phi = _prepare_generation(params, k, p, t_max, points_per_block, time_steps)
     xi_kp = xi_generation(k, p, phi, tg, cap=max(k + p, 1))
@@ -201,7 +197,7 @@ def verify_lemma26(
     """H^s bound for one generation against f_s(A) t^(k+p) N^k (RA)^(2k+4p) R."""
     if k + p > 2:
         raise ConfigurationError("generation cap for verification is k + p <= 2")
-    N, R, A = _moments(params)
+    N, R, A = params.N, params.R, params.A
     t_max = params.T
     grid, tg, phi = _prepare_generation(params, k, p, t_max, points_per_block, time_steps)
     xi_kp = xi_generation(k, p, phi, tg, cap=max(k + p, 1))
@@ -240,7 +236,7 @@ def verify_prop29(
 ) -> EstimateReport:
     """Measured constant in the first-iterate lower bound:
     c = ||Xi_1(phi)(t)||_{H^s} / (f_s(A) t R^5 A^4)."""
-    N, R, A = _moments(params)
+    N, R, A = params.N, params.R, params.A
     if t <= 0:
         raise ConfigurationError("the lower bound needs t > 0")
     if t > TIME_WINDOW_FACTOR * N**-2:
@@ -279,7 +275,7 @@ def verify_lemma210(
     ||psi||_{L^2} (t R^4 A^4)^j."""
     if j < 1 or j > 2:
         raise ConfigurationError("perturbation check supports j in {1, 2}")
-    N, R, A = _moments(params)
+    N, R, A = params.N, params.R, params.A
     support = np.abs(psi_pert.values) > 0
     if not support.any():
         raise ConfigurationError("perturbation is identically zero")
@@ -292,7 +288,7 @@ def verify_lemma210(
     # (slots near 0 stop the alternating sum from cancelling), so take the
     # grid one generation wider than the level being checked
     grid, tg, phi = _prepare_generation(params, j + 1, 0, params.T, points_per_block, time_steps)
-    psi_res = _resample(psi_pert, grid)
+    psi_res = resample(psi_pert, grid)
     perturbed = SpectralFunction(grid, phi.values + psi_res.values)
     base = xi_level(j, phi, tg, cap=j)
     shifted = xi_level(j, perturbed, tg, cap=j)
@@ -314,11 +310,3 @@ def verify_lemma210(
         tolerance=bound,
     )
 
-
-def _resample(f: SpectralFunction, grid: FrequencyGrid) -> SpectralFunction:
-    """Linear interpolation of a spectrum onto another grid (zero outside)."""
-    if f.grid == grid:
-        return f
-    re = np.interp(grid.xis, f.grid.xis, f.values.real, left=0.0, right=0.0)
-    im = np.interp(grid.xis, f.grid.xis, f.values.imag, left=0.0, right=0.0)
-    return SpectralFunction(grid, re + 1j * im)

@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .estimates import DEFAULT_MARGIN, f_s
-from .picard import TimeGrid, xi_level
+from .picard import TimeGrid, level_summary, series_levels
 from .solver import TorusConfig, solve_gdnls, spectrum_from_state, state_from_spectrum
 from .spectrum import (
     ParameterSet,
     SpectralFunction,
     default_grid,
     make_phi,
+    resample,
     smooth_bump,
     sobolev_norm,
 )
@@ -209,16 +210,11 @@ def default_perturbation(grid, s: float, radius: float = DEFAULT_BUMP_RADIUS) ->
 def _series_final(v0, phi, params, tg, j_max):
     """Partial sums and the four-term lower-bound decomposition."""
     s = params.s
-    levels_v0 = [xi_level(j, v0, tg, cap=j_max).final for j in range(j_max + 1)]
-    levels_phi = [xi_level(j, phi, tg, cap=j_max).final for j in range(j_max + 1)]
-    total = SpectralFunction(v0.grid, np.sum([f.values for f in levels_v0], axis=0))
-
-    l2s = [sobolev_norm(f, 0.0) for f in levels_v0]
-    ratio = 0.0
-    for j in range(1, j_max + 1):
-        if l2s[j - 1] > 0:
-            ratio = l2s[j] / l2s[j - 1]
-    tail = l2s[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else float("inf")
+    # keep only the final frame of each level: the full stacks of one datum
+    # are freed before the other datum's levels are computed
+    levels_v0 = [lvl.final for lvl in series_levels(v0, tg, j_max)]
+    levels_phi = levels_v0 if v0 is phi else [lvl.final for lvl in series_levels(phi, tg, j_max)]
+    total, _, ratio, tail = level_summary(levels_v0)
 
     pert1 = SpectralFunction(v0.grid, levels_v0[1].values - levels_phi[1].values)
     xi2_phi = sobolev_norm(levels_phi[2], s) if j_max >= 2 else float("nan")
@@ -285,11 +281,9 @@ def run_experiment(
         grid = default_grid(params, generations=reach, points_per_block=points_per_block)
         phi = make_phi(params, grid, min_points_per_block=points_per_block)
         if psi is None:
-            psi_vals = np.zeros(grid.count, dtype=np.complex128)
+            v0 = phi
         else:
-            psi_res = _resample_onto(psi, grid)
-            psi_vals = psi_res.values
-        v0 = SpectralFunction(grid, phi.values + psi_vals)
+            v0 = SpectralFunction(grid, phi.values + resample(psi, grid).values)
         gap = sobolev_norm(phi, s)
 
         if time_steps is None:
@@ -336,10 +330,3 @@ def run_experiment(
         )
     return results
 
-
-def _resample_onto(f: SpectralFunction, grid) -> SpectralFunction:
-    if f.grid == grid:
-        return f
-    re = np.interp(grid.xis, f.grid.xis, f.values.real, left=0.0, right=0.0)
-    im = np.interp(grid.xis, f.grid.xis, f.values.imag, left=0.0, right=0.0)
-    return SpectralFunction(grid, re + 1j * im)

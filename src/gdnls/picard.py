@@ -1,5 +1,5 @@
-"""Fourier-side evaluation of the Duhamel operators and tree-indexed
-Picard terms.
+"""Fourier-side evaluation of the Duhamel operators and of the Picard series
+by level recursion; per-tree evaluation (psi) is the recursion's test oracle.
 
 Everything lives on one shared symmetric frequency grid and one shared
 uniform time grid, so operators nest without re-integration: an inner
@@ -27,8 +27,8 @@ from scipy.integrate import cumulative_simpson
 from scipy.signal import fftconvolve
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
-from .spectrum import FrequencyGrid, SpectralFunction
-from .trees import Tree, enumerate_trees, tree_stats
+from .spectrum import FrequencyGrid, SpectralFunction, sobolev_norm
+from .trees import Tree, compositions, tree_stats
 
 __all__ = [
     "TimeGrid",
@@ -40,6 +40,8 @@ __all__ = [
     "first_iterate_quintic_exact",
     "xi_generation",
     "xi_level",
+    "series_levels",
+    "level_summary",
     "series_sum",
     "free_frames",
 ]
@@ -219,40 +221,46 @@ def psi(
     tg: TimeGrid,
     cap: int = DEFAULT_GENERATION_CAP,
     clip_tol: float = DEFAULT_CLIP_TOL,
-    _memo: dict | None = None,
 ) -> SpaceTimeFunction:
     """Multilinear Picard term of one tree: leaves become S(t) phi, 3-ary
-    nodes the cubic operator, 5-ary nodes the quintic one.
-
-    Structurally equal subtrees are evaluated once per call.
-    """
+    nodes the cubic operator, 5-ary nodes the quintic one."""
     stats = tree_stats(tree)
     if stats.internal > cap:
         raise ResourceError(
             f"tree has {stats.internal} internal nodes, above the generation cap {cap}"
         )
-    memo = {} if _memo is None else _memo
-    return _psi_eval(tree, phi, tg, clip_tol, memo)
-
-
-_MEMO_MAX_INTERNAL = 1
-
-
-def _psi_eval(tree, phi, tg, clip_tol, memo):
-    cached = memo.get(tree)
-    if cached is not None:
-        return cached
     if tree.is_leaf:
-        out = free_frames(phi, tg)
-    else:
-        children = [_psi_eval(c, phi, tg, clip_tol, memo) for c in tree.children]
-        op = duhamel_J if len(children) == 3 else duhamel_K
-        out = op(*children, clip_tol=clip_tol)
-    # cache only the small shared pieces; deep subtrees are rarely repeated
-    # and each cached stack costs (steps + 1) * count complex values
-    if tree_stats(tree).internal <= _MEMO_MAX_INTERNAL:
-        memo[tree] = out
-    return out
+        return free_frames(phi, tg)
+    op = duhamel_J if len(tree.children) == 3 else duhamel_K
+    return op(*(psi(c, phi, tg, cap, clip_tol) for c in tree.children), clip_tol=clip_tol)
+
+
+def _accumulate(terms, clip_tol: float) -> SpaceTimeFunction:
+    """Sum of op(*args) over the nonempty list of (op, args), in order, in place."""
+    (op, args), *rest = terms
+    total = op(*args, clip_tol=clip_tol)
+    for op, args in rest:
+        total.frames += op(*args, clip_tol=clip_tol).frames
+    return total
+
+
+def series_levels(
+    phi: SpectralFunction,
+    tg: TimeGrid,
+    j_max: int,
+    clip_tol: float = DEFAULT_CLIP_TOL,
+) -> list[SpaceTimeFunction]:
+    """Level sums Xi_0..Xi_{j_max} by the recursion Xi_0 = S(t) phi,
+    Xi_j = sum_{j1+j2+j3=j-1} J(Xi_j1, Xi_j2, Xi_j3) + sum_{j1+..+j5=j-1} K(Xi_j1, .., Xi_j5):
+    the sum of psi(tree) over all trees with j internal nodes, by multilinearity."""
+    levels = [free_frames(phi, tg)]
+    for j in range(1, j_max + 1):
+        # quintic terms first: K has the largest temporaries, and the first
+        # term runs before the level's accumulator exists
+        terms = [(duhamel_K, [levels[i] for i in c]) for c in compositions(j - 1, 5)]
+        terms += [(duhamel_J, [levels[i] for i in c]) for c in compositions(j - 1, 3)]
+        levels.append(_accumulate(terms, clip_tol))
+    return levels
 
 
 def xi_generation(
@@ -263,16 +271,26 @@ def xi_generation(
     cap: int = DEFAULT_GENERATION_CAP,
     clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SpaceTimeFunction:
-    """Sum of the Picard terms over every tree in generation (k, p)."""
+    """Sum of the Picard terms over every tree in generation (k, p), by the
+    series_levels recursion over (k, p) pairs: J children sum to (k - 1, p),
+    K children to (k, p - 1); terms are added in tree-enumeration order."""
     if k + p > cap:
         raise ResourceError(f"generation (k={k}, p={p}) above cap {cap}")
-    total = None
-    memo: dict = {}
-    for tree in enumerate_trees(k, p, depth_cap=max(cap, k + p)):
-        term = psi(tree, phi, tg, cap=cap, clip_tol=clip_tol, _memo=memo)
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+    return _generation(k, p, {(0, 0): free_frames(phi, tg)}, clip_tol)
+
+
+def _generation(k: int, p: int, table: dict, clip_tol: float) -> SpaceTimeFunction:
+    """Xi_(k,p) from the per-call table of lower generations, filled on demand."""
+    if (k, p) not in table:
+        terms = [
+            (op, [_generation(a, b, table, clip_tol) for a, b in zip(ks, ps)])
+            for op, arity, kc, pc in ((duhamel_J, 3, k - 1, p), (duhamel_K, 5, k, p - 1))
+            if kc >= 0 and pc >= 0
+            for ks in compositions(kc, arity)
+            for ps in compositions(pc, arity)
+        ]
+        table[(k, p)] = _accumulate(terms, clip_tol)
+    return table[(k, p)]
 
 
 def xi_level(
@@ -285,14 +303,20 @@ def xi_level(
     """Sum of xi_generation(k, p) over all k + p = j."""
     if j > cap:
         raise ResourceError(f"level {j} above cap {cap}")
-    total = None
-    memo: dict = {}
-    for k in range(j + 1):
-        for tree in enumerate_trees(k, j - k, depth_cap=max(cap, j)):
-            term = psi(tree, phi, tg, cap=cap, clip_tol=clip_tol, _memo=memo)
-            total = term if total is None else total + term
-    assert total is not None
-    return total
+    return series_levels(phi, tg, j, clip_tol)[j]
+
+
+def level_summary(finals: list[SpectralFunction]) -> tuple:
+    """(partial sum, L^2 norms of the levels, last observed ratio of
+    consecutive norms, geometric tail extrapolated from it; inf if >= 1)."""
+    total = SpectralFunction(finals[0].grid, np.sum([f.values for f in finals], axis=0))
+    l2s = [sobolev_norm(f, 0.0) for f in finals]
+    ratio = 0.0
+    for j in range(1, len(l2s)):
+        if l2s[j - 1] > 0:
+            ratio = l2s[j] / l2s[j - 1]
+    tail = l2s[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else float("inf")
+    return total, l2s, ratio, tail
 
 
 @dataclass
@@ -311,35 +335,22 @@ def series_sum(
     phi: SpectralFunction,
     tg: TimeGrid,
     j_max: int = DEFAULT_GENERATION_CAP,
-    cap: int | None = None,
     clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SeriesResult:
-    """Partial sum of the tree series up to level j_max, evaluated at t_max.
+    """Partial sum of the Picard series up to level j_max, evaluated at t_max.
 
     The tail is extrapolated geometrically from the last observed L^2 level
     ratio; an observed ratio >= 1 raises an accuracy (divergence) error.
     """
-    cap = j_max if cap is None else cap
-    levels: list[SpectralFunction] = []
-    l2s: list[float] = []
-    for j in range(j_max + 1):
-        lvl = xi_level(j, phi, tg, cap=cap, clip_tol=clip_tol).final
-        levels.append(lvl)
-        l2s.append(float(np.sqrt(np.trapezoid(np.abs(lvl.values) ** 2, dx=phi.grid.delta_xi) / (2 * np.pi))))
-    total = np.sum([lvl.values for lvl in levels], axis=0)
-
-    ratio = 0.0
-    for j in range(1, j_max + 1):
-        if l2s[j - 1] > 0:
-            ratio = l2s[j] / l2s[j - 1]
+    finals = [lvl.final for lvl in series_levels(phi, tg, j_max, clip_tol)]
+    total, l2s, ratio, tail = level_summary(finals)
     warnings = []
     if j_max >= 1 and ratio >= 1.0:
         raise AccuracyError(f"Picard series diverging: observed level ratio {ratio:.3g} >= 1")
     if j_max >= 1 and ratio >= 0.5:
         warnings.append(f"level ratio {ratio:.3g} >= 1/2; tail extrapolation unreliable")
-    tail = l2s[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else float("inf")
     return SeriesResult(
-        total=SpectralFunction(phi.grid, total),
+        total=total,
         level_l2=l2s,
         ratio=ratio,
         tail_estimate=tail,

@@ -28,6 +28,7 @@ __all__ = [
     "sobolev_norm",
     "fl_norm",
     "free_evolve",
+    "resample",
     "norm_report",
     "default_grid",
 ]
@@ -183,6 +184,15 @@ def fl_norm(f: SpectralFunction, p: float) -> float:
 def free_evolve(f: SpectralFunction, t: float) -> SpectralFunction:
     """Linear Schroedinger flow: multiplication by exp(-i t xi^2)."""
     return SpectralFunction(f.grid, f.values * np.exp(-1j * t * f.grid.xis**2))
+
+
+def resample(f: SpectralFunction, grid: FrequencyGrid) -> SpectralFunction:
+    """Linear interpolation of a spectrum onto another grid (zero outside)."""
+    if f.grid == grid:
+        return f
+    re = np.interp(grid.xis, f.grid.xis, f.values.real, left=0.0, right=0.0)
+    im = np.interp(grid.xis, f.grid.xis, f.values.imag, left=0.0, right=0.0)
+    return SpectralFunction(grid, re + 1j * im)
 
 
 def norm_report(f: SpectralFunction, s: float) -> NormReport:

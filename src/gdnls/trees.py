@@ -26,6 +26,7 @@ __all__ = [
     "LEAF",
     "enumerate_trees",
     "count_trees",
+    "compositions",
     "tree_stats",
     "leaf_signature",
     "fitted_growth_constant",
@@ -124,14 +125,14 @@ def leaf_signature(tree: Tree) -> LeafSignature:
     return LeafSignature(conjugated=tuple(conj), differentiated=tuple(deriv))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of `parts` nonnegative ints summing to `total`,
     in lexicographic order."""
     if parts == 1:
         yield (total,)
         return
     for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+        for rest in compositions(total - head, parts - 1):
             yield (head,) + rest
 
 
@@ -157,14 +158,14 @@ def _enumerate(k: int, p: int) -> list[Tree]:
         return [LEAF]
     out: list[Tree] = []
     if k >= 1:
-        for ks in _compositions(k - 1, 3):
-            for ps in _compositions(p, 3):
+        for ks in compositions(k - 1, 3):
+            for ps in compositions(p, 3):
                 pools = [_enumerate(ki, pi) for ki, pi in zip(ks, ps)]
                 for combo in itertools.product(*pools):
                     out.append(Tree(children=combo))
     if p >= 1:
-        for ks in _compositions(k, 5):
-            for ps in _compositions(p - 1, 5):
+        for ks in compositions(k, 5):
+            for ps in compositions(p - 1, 5):
                 pools = [_enumerate(ki, pi) for ki, pi in zip(ks, ps)]
                 for combo in itertools.product(*pools):
                     out.append(Tree(children=combo))
@@ -184,15 +185,15 @@ def count_trees(k: int, p: int) -> int:
         return 1
     total = 0
     if k >= 1:
-        for ks in _compositions(k - 1, 3):
-            for ps in _compositions(p, 3):
+        for ks in compositions(k - 1, 3):
+            for ps in compositions(p, 3):
                 prod = 1
                 for ki, pi in zip(ks, ps):
                     prod *= count_trees(ki, pi)
                 total += prod
     if p >= 1:
-        for ks in _compositions(k, 5):
-            for ps in _compositions(p - 1, 5):
+        for ks in compositions(k, 5):
+            for ps in compositions(p - 1, 5):
                 prod = 1
                 for ki, pi in zip(ks, ps):
                     prod *= count_trees(ki, pi)

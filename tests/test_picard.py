@@ -1,3 +1,6 @@
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from gdnls.picard import (
     xi_level,
 )
 from gdnls.spectrum import FrequencyGrid, ParameterSet, SpectralFunction, default_grid, make_phi
-from gdnls.trees import LEAF, Tree
+from gdnls.trees import LEAF, Tree, enumerate_trees
 
 # coarse configuration: small enough for the direct-sum oracles
 P = ParameterSet(s=-1.0, N=16.0, A=4.0, R=1.0, T=1e-3)
@@ -224,6 +227,25 @@ def test_level_sums_generations():
     lvl = xi_level(1, phi, tg, cap=1)
     parts = xi_generation(1, 0, phi, tg, cap=1) + xi_generation(0, 1, phi, tg, cap=1)
     assert np.allclose(lvl.frames, parts.frames)
+
+
+def test_recursion_matches_tree_oracle():
+    """Level and generation recursions against the per-tree sum, added in
+    tree-enumeration order.  Up to level 2 every child of a generation is a
+    single tree, so the generation sums are the same floating-point ops.
+    Few time steps: this checks the summation, not quadrature accuracy."""
+    grid, phi, tg = coarse_setup(steps=16, generations=2)
+
+    for j in range(3):
+        oracles = []
+        for k in range(j + 1):
+            trees = enumerate_trees(k, j - k)
+            oracles.append(reduce(operator.add, (psi(t, phi, tg) for t in trees)))
+            got = xi_generation(k, j - k, phi, tg, cap=2).frames
+            assert np.array_equal(got, oracles[-1].frames)
+        want = reduce(operator.add, oracles).frames
+        got = xi_level(j, phi, tg, cap=2).frames
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_series_sum_converges_at_small_amplitude():
