@@ -218,15 +218,11 @@ def _cmd_norms(args) -> dict:
 def _cmd_iterate(args) -> dict:
     _require(args, "k", "p")
     params = _params_from(args)
-    ppb = args.points_per_block or 16
-    gens = max(args.k + args.p, 1)
-    grid = spectrum.default_grid(params, generations=gens, points_per_block=ppb)
-    phi = spectrum.make_phi(params, grid, min_points_per_block=ppb)
     t = args.t if args.t is not None else params.T
-    if args.time_steps is not None:
-        tg = picard.TimeGrid(t_max=t, steps=args.time_steps)
-    else:
-        tg = picard.TimeGrid.for_extent(t, grid.xi_max)
+    gens = args.k + args.p
+    _, tg, phi = estimates.generation_setup(
+        params, gens, t, args.points_per_block or 16, args.time_steps
+    )
     result = picard.xi_generation(args.k, args.p, phi, tg, cap=max(gens, 2))
     if args.frames_out:
         frames.write_frames(result, args.frames_out)
@@ -293,19 +289,24 @@ def _cmd_solve(args) -> dict:
 
 def _write_checkpoints(trajectory, path) -> None:
     cfg = trajectory[0].config
-    spectra = np.stack([np.fft.fftshift(np.fft.fft(s.samples)) / cfg.modes for s in trajectory])
+    times = np.array([s.time for s in trajectory])
     steps = len(trajectory) - 1
-    if steps < 4 or steps % 2:
-        pad = 4 if steps < 4 else steps + 1
-        spectra = np.concatenate([spectra, np.repeat(spectra[-1:], pad - steps, axis=0)])
-        steps = pad
-    t_max = trajectory[-1].time - trajectory[0].time
+    gaps = np.diff(times)
+    # NIQK1 frames carry no times of their own: they are read back as an
+    # even, evenly spaced Simpson grid on [0, t_max]
+    if steps < 4 or steps % 2 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
+        raise ConfigurationError(
+            f"--frames-out needs an even number (>= 4) of evenly spaced checkpoint "
+            f"intervals, got {steps}: choose --checkpoint-every so that it splits "
+            "the step count into such intervals"
+        )
+    spectra = np.stack([np.fft.fftshift(np.fft.fft(s.samples)) / cfg.modes for s in trajectory])
     grid = spectrum.FrequencyGrid(
         xi_min=float(np.fft.fftshift(cfg.wavenumbers)[0]),
         delta_xi=2 * math.pi / cfg.length,
         count=cfg.modes,
     )
-    tg = picard.TimeGrid(t_max=abs(t_max) or 1.0, steps=steps)
+    tg = picard.TimeGrid(t_max=abs(times[-1] - times[0]), steps=steps)
     frames.write_frames(picard.SpaceTimeFunction(tg, grid, spectra), path)
 
 

@@ -3,7 +3,7 @@
 Measured constants are convention-dependent (the analysis only asserts
 bounds up to constants), so every check is a ratio report: the left-hand
 side divided by the right-hand side with the unknown constant stripped.
-A report passes when its ratios stay below a configured bound; sweeps over
+A report passes when its ratios stay below a fixed bound; sweeps over
 the frequency scale N belong to the caller.
 """
 
@@ -33,6 +33,7 @@ __all__ = [
     "f_s",
     "cardinal_bspline",
     "box_convolution",
+    "generation_setup",
     "verify_lemma25",
     "verify_lemma26",
     "verify_prop29",
@@ -44,6 +45,10 @@ DEFAULT_MARGIN = 16.0
 # Largest t (in units of N^-2) for which the oscillatory factor keeps
 # real part >= 1/2 on the data support.
 TIME_WINDOW_FACTOR = 0.05
+# pass threshold of the lemma 2.5/2.6/2.10 ratios
+RATIO_BOUND = 100.0
+# the proposition 2.9 constant must exceed this
+C_MIN = 0.0
 
 
 @dataclass(frozen=True)
@@ -123,15 +128,17 @@ def box_convolution(boxes: Sequence[BoxSpec], xi) -> np.ndarray:
     return width ** (n - 1) * cardinal_bspline(n, x)
 
 
-def _prepare_generation(
+def generation_setup(
     params: ParameterSet,
-    k: int,
-    p: int,
+    generations: int,
     t_max: float,
     points_per_block: int,
     time_steps: int | None,
 ):
-    grid = default_grid(params, generations=max(k + p, 1), points_per_block=points_per_block)
+    """(grid, TimeGrid, phi) for evaluating Picard generations up to
+    `generations` (the grid is at least generation-1 wide) on [0, t_max];
+    without `time_steps` the step count follows TimeGrid.for_extent."""
+    grid = default_grid(params, generations=max(generations, 1), points_per_block=points_per_block)
     if time_steps is None:
         tg = TimeGrid.for_extent(t_max, grid.xi_max)
     else:
@@ -140,33 +147,43 @@ def _prepare_generation(
     return grid, tg, phi
 
 
+def _bounded(ratios: dict) -> bool:
+    return all(np.isfinite(v) and v <= RATIO_BOUND for v in ratios.values())
+
+
+def _generation_nodes(
+    params: ParameterSet, k: int, p: int, points_per_block: int, time_steps: int | None
+):
+    """Shared body of lemmas 2.5 and 2.6: (grid, (t, frame) of generation
+    (k, p) at every stored time node of [0, T], report params).  t = 0 is
+    skipped for k + p >= 1, where the bound t^(k+p) vanishes."""
+    if k + p > 2:
+        raise ConfigurationError("generation cap for verification is k + p <= 2")
+    grid, tg, phi = generation_setup(params, k + p, params.T, points_per_block, time_steps)
+    xi_kp = xi_generation(k, p, phi, tg)
+    nodes = ((t, xi_kp.at_index(i)) for i, t in enumerate(tg.times) if t > 0 or k + p == 0)
+    report_params = {
+        "s": params.s, "N": params.N, "A": params.A, "R": params.R, "k": k, "p": p, "t_max": params.T
+    }
+    return grid, nodes, report_params
+
+
 def verify_lemma25(
     params: ParameterSet,
     k: int,
     p: int,
-    t_samples: Sequence[float] | None = None,
-    bound: float = 100.0,
     points_per_block: int = 16,
     time_steps: int | None = None,
 ) -> EstimateReport:
     """Ratios of the three Fourier-Lebesgue bounds for one generation (k, p):
     FL1 against t^(k+p) N^k (RA)^(2k+4p+1), FLinf and the derivative FLinf
     against their N^k / N^(k+1) counterparts."""
-    if k + p > 2:
-        raise ConfigurationError("generation cap for verification is k + p <= 2")
+    grid, nodes, report_params = _generation_nodes(params, k, p, points_per_block, time_steps)
     N, R, A = params.N, params.R, params.A
-    t_max = params.T
-    grid, tg, phi = _prepare_generation(params, k, p, t_max, points_per_block, time_steps)
-    xi_kp = xi_generation(k, p, phi, tg, cap=max(k + p, 1))
     j = k + p
-    times = tg.times if t_samples is None else np.asarray(t_samples)
     sup1 = supinf = supder = 0.0
-    for t in times:
-        if t <= 0 and j >= 1:
-            continue
-        idx = int(round(t / tg.dt))
-        frame = xi_kp.at_index(idx)
-        tj = t**j if j >= 1 else 1.0
+    for t, frame in nodes:
+        tj = t**j
         sup1 = max(sup1, fl_norm(frame, 1) / (tj * N**k * (R * A) ** (2 * k + 4 * p + 1)))
         supinf = max(supinf, fl_norm(frame, math.inf) / (tj * N**k * (R * A) ** (2 * k + 4 * p) * R))
         deriv = SpectralFunction(grid, 1j * grid.xis * frame.values)
@@ -175,13 +192,12 @@ def verify_lemma25(
             fl_norm(deriv, math.inf) / (tj * N ** (k + 1) * (R * A) ** (2 * k + 4 * p) * R),
         )
     ratios = {"fl1": sup1, "fl_inf": supinf, "fl_inf_derivative": supder}
-    passed = all(np.isfinite(v) and v <= bound for v in ratios.values())
     return EstimateReport(
         lemma="2.5",
-        params={"s": params.s, "N": N, "A": A, "R": R, "k": k, "p": p, "t_max": t_max},
+        params=report_params,
         ratios=ratios,
-        passed=passed,
-        tolerance=bound,
+        passed=_bounded(ratios),
+        tolerance=RATIO_BOUND,
     )
 
 
@@ -189,47 +205,35 @@ def verify_lemma26(
     params: ParameterSet,
     k: int,
     p: int,
-    t_samples: Sequence[float] | None = None,
-    bound: float = 100.0,
     points_per_block: int = 16,
     time_steps: int | None = None,
 ) -> EstimateReport:
     """H^s bound for one generation against f_s(A) t^(k+p) N^k (RA)^(2k+4p) R."""
-    if k + p > 2:
-        raise ConfigurationError("generation cap for verification is k + p <= 2")
+    _, nodes, report_params = _generation_nodes(params, k, p, points_per_block, time_steps)
     N, R, A = params.N, params.R, params.A
-    t_max = params.T
-    grid, tg, phi = _prepare_generation(params, k, p, t_max, points_per_block, time_steps)
-    xi_kp = xi_generation(k, p, phi, tg, cap=max(k + p, 1))
     j = k + p
     weight = f_s(params.s, A)
-    times = tg.times if t_samples is None else np.asarray(t_samples)
     sup = 0.0
-    for t in times:
-        if t <= 0 and j >= 1:
-            continue
-        idx = int(round(t / tg.dt))
-        frame = xi_kp.at_index(idx)
-        tj = t**j if j >= 1 else 1.0
+    for t, frame in nodes:
+        tj = t**j
         sup = max(
             sup,
             sobolev_norm(frame, params.s)
             / (weight * tj * N**k * (R * A) ** (2 * k + 4 * p) * R),
         )
-    passed = np.isfinite(sup) and sup <= bound
+    ratios = {"h_s": sup}
     return EstimateReport(
         lemma="2.6",
-        params={"s": params.s, "N": N, "A": A, "R": R, "k": k, "p": p, "t_max": t_max},
-        ratios={"h_s": sup},
-        passed=passed,
-        tolerance=bound,
+        params=report_params,
+        ratios=ratios,
+        passed=_bounded(ratios),
+        tolerance=RATIO_BOUND,
     )
 
 
 def verify_prop29(
     params: ParameterSet,
     t: float,
-    c_min: float = 0.0,
     margin: float = DEFAULT_MARGIN,
     points_per_block: int = 32,
     time_steps: int | None = None,
@@ -247,18 +251,15 @@ def verify_prop29(
         raise ConfigurationError(
             f"quintic dominance needs R^2 A^2 >= {margin} N (got {R ** 2 * A ** 2} vs {margin * N})"
         )
-    grid = default_grid(params, generations=1, points_per_block=points_per_block)
-    tg = TimeGrid.for_extent(t, grid.xi_max) if time_steps is None else TimeGrid(t, time_steps)
-    phi = make_phi(params, grid, min_points_per_block=points_per_block)
-    xi1 = xi_level(1, phi, tg, cap=1)
+    _, tg, phi = generation_setup(params, 1, t, points_per_block, time_steps)
+    xi1 = xi_level(1, phi, tg)
     measured = sobolev_norm(xi1.final, params.s) / (f_s(params.s, A) * t * R**5 * A**4)
-    passed = measured > c_min
     return EstimateReport(
         lemma="2.9",
         params={"s": params.s, "N": N, "A": A, "R": R, "t": t},
         ratios={"c": measured},
-        passed=passed,
-        tolerance=c_min,
+        passed=measured > C_MIN,
+        tolerance=C_MIN,
     )
 
 
@@ -266,13 +267,11 @@ def verify_lemma210(
     params: ParameterSet,
     psi_pert: SpectralFunction,
     j: int,
-    t_samples: Sequence[float] | None = None,
-    bound: float = 100.0,
     points_per_block: int = 16,
     time_steps: int | None = None,
 ) -> EstimateReport:
     """Perturbation stability: ||Xi_j(phi + psi) - Xi_j(phi)||_{L^2} against
-    ||psi||_{L^2} (t R^4 A^4)^j."""
+    ||psi||_{L^2} (t R^4 A^4)^j at every stored time node t > 0."""
     if j < 1 or j > 2:
         raise ConfigurationError("perturbation check supports j in {1, 2}")
     N, R, A = params.N, params.R, params.A
@@ -287,26 +286,22 @@ def verify_lemma210(
     # perturbed data reach further in frequency than the two-block datum
     # (slots near 0 stop the alternating sum from cancelling), so take the
     # grid one generation wider than the level being checked
-    grid, tg, phi = _prepare_generation(params, j + 1, 0, params.T, points_per_block, time_steps)
+    grid, tg, phi = generation_setup(params, j + 1, params.T, points_per_block, time_steps)
     psi_res = resample(psi_pert, grid)
     perturbed = SpectralFunction(grid, phi.values + psi_res.values)
-    base = xi_level(j, phi, tg, cap=j)
-    shifted = xi_level(j, perturbed, tg, cap=j)
+    base = xi_level(j, phi, tg)
+    shifted = xi_level(j, perturbed, tg)
     psi_l2 = sobolev_norm(psi_res, 0.0)
-    times = tg.times if t_samples is None else np.asarray(t_samples)
     sup = 0.0
-    for t in times:
-        if t <= 0:
-            continue
-        idx = int(round(t / tg.dt))
-        diff = SpectralFunction(grid, shifted.frames[idx] - base.frames[idx])
+    # node 0 is t = 0, where both sides vanish
+    for t, base_t, shifted_t in zip(tg.times[1:], base.frames[1:], shifted.frames[1:]):
+        diff = SpectralFunction(grid, shifted_t - base_t)
         sup = max(sup, sobolev_norm(diff, 0.0) / (psi_l2 * (t * R**4 * A**4) ** j))
-    passed = np.isfinite(sup) and sup <= bound
+    ratios = {"l2_difference": sup}
     return EstimateReport(
         lemma="2.10",
         params={"s": params.s, "N": N, "A": A, "R": R, "j": j, "t_max": params.T},
-        ratios={"l2_difference": sup},
-        passed=passed,
-        tolerance=bound,
+        ratios=ratios,
+        passed=_bounded(ratios),
+        tolerance=RATIO_BOUND,
     )
-

@@ -41,6 +41,8 @@ __all__ = [
 
 CONDITION_IDS = ("i", "ii", "iii", "iv", "v", "vi")
 DEFAULT_BUMP_RADIUS = 8.0
+MAX_TIME_STEPS = 256
+SOLVER_MODES_CAP = 1 << 15
 S_ZERO_NOTE = (
     "at s = 0 condition (i) forces R << A^(-1/2), hence R^2 A^2 << A, "
     "which contradicts (iv) N << R^2 A^2 combined with (v) A << N"
@@ -202,9 +204,9 @@ class InflationResult:
         }
 
 
-def default_perturbation(grid, s: float, radius: float = DEFAULT_BUMP_RADIUS) -> SpectralFunction:
-    """Unit-H^s smooth Fourier bump of the given support radius."""
-    return smooth_bump(grid, radius, s, h_s=1.0)
+def default_perturbation(grid, s: float) -> SpectralFunction:
+    """Unit-H^s smooth Fourier bump of support radius DEFAULT_BUMP_RADIUS."""
+    return smooth_bump(grid, DEFAULT_BUMP_RADIUS, s)
 
 
 def _series_final(v0, phi, params, tg, j_max):
@@ -260,8 +262,6 @@ def run_experiment(
     points_per_block: int = 16,
     j_max: int = 2,
     time_steps: int | None = None,
-    max_time_steps: int = 256,
-    solver_modes_cap: int = 1 << 15,
 ) -> list[InflationResult]:
     """One InflationResult per swept N (ordered by N).
 
@@ -271,6 +271,8 @@ def run_experiment(
     """
     if method not in ("series", "solver", "both"):
         raise ConfigurationError(f"unknown method {method!r}")
+    if j_max < 1:
+        raise ConfigurationError(f"j_max must be >= 1 (got {j_max}): the decomposition uses level 1")
     results = []
     for N in sorted(N_sweep):
         params = choose_params(s, N, delta)
@@ -287,7 +289,7 @@ def run_experiment(
         gap = sobolev_norm(phi, s)
 
         if time_steps is None:
-            tg = TimeGrid.for_extent(params.T, grid.xi_max, max_steps=max_time_steps)
+            tg = TimeGrid.for_extent(params.T, grid.xi_max, max_steps=MAX_TIME_STEPS)
         else:
             tg = TimeGrid(t_max=params.T, steps=time_steps)
 
@@ -304,7 +306,7 @@ def run_experiment(
             if ratio >= 0.5:
                 warnings.append(f"series level ratio {ratio:.3g} >= 1/2")
         if method in ("solver", "both"):
-            solved, drift = _solver_final(v0, params, tg, solver_modes_cap)
+            solved, drift = _solver_final(v0, params, tg, SOLVER_MODES_CAP)
             final_solver = sobolev_norm(solved, s)
             if method == "both":
                 diff = SpectralFunction(grid, solved.values - total.values)

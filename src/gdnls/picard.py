@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_GENERATION_CAP = 2
-DEFAULT_CLIP_TOL = 1e-10
+# relative edge mass above which a convolution counts as clipped by the grid
+CLIP_TOL = 1e-10
+MIN_TIME_STEPS = 4
 PHASE_OVERSAMPLE = 16.0
 
 
@@ -77,13 +79,12 @@ class TimeGrid:
         cls,
         t_max: float,
         xi_max: float,
-        min_steps: int = 4,
         max_steps: int = 4096,
     ) -> "TimeGrid":
         """Steps chosen to resolve the oscillatory phase exp(i t' xi^2),
         whose magnitude is bounded by t * xi_max^2."""
         need = int(np.ceil(PHASE_OVERSAMPLE * t_max * xi_max**2))
-        steps = min(max(min_steps, need), max_steps)
+        steps = min(max(MIN_TIME_STEPS, need), max_steps)
         if steps % 2:
             steps += 1
         return cls(t_max=t_max, steps=steps)
@@ -130,7 +131,7 @@ def free_frames(phi: SpectralFunction, tg: TimeGrid) -> SpaceTimeFunction:
     return SpaceTimeFunction(tg, phi.grid, phase * phi.values[np.newaxis, :])
 
 
-def _conv_window(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid, clip_tol: float) -> np.ndarray:
+def _conv_window(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """delta_xi-weighted convolution of two frame stacks, re-windowed onto grid.
 
     The full linear convolution starts at 2*xi_min; for a symmetric grid the
@@ -145,10 +146,10 @@ def _conv_window(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid, clip_tol: fl
             np.max(np.abs(full[..., : half + 2]), initial=0.0),
             np.max(np.abs(full[..., half + grid.count - 2 :]), initial=0.0),
         )
-        if edge > clip_tol * peak:
+        if edge > CLIP_TOL * peak:
             raise AccuracyError(
                 f"convolution support clipped at the grid edge "
-                f"(relative edge mass {edge / peak:.2e} > {clip_tol:.1e}); widen the grid"
+                f"(relative edge mass {edge / peak:.2e} > {CLIP_TOL:.1e}); widen the grid"
             )
     return np.ascontiguousarray(kept)
 
@@ -177,7 +178,6 @@ def duhamel_J(
     v1: SpaceTimeFunction,
     v2: SpaceTimeFunction,
     v3: SpaceTimeFunction,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SpaceTimeFunction:
     """Cubic Duhamel operator: -i int_0^t S(t-t') v1 v2 d/dx conj(v3) dt'.
 
@@ -188,7 +188,7 @@ def duhamel_J(
     _check_compatible(v1, v2, v3)
     grid, tg = v1.grid, v1.time_grid
     d3 = 1j * grid.xis * _conj_reflect(v3.frames)
-    prod = _conv_window(_conv_window(v1.frames, d3, grid, clip_tol), v2.frames, grid, clip_tol)
+    prod = _conv_window(_conv_window(v1.frames, d3, grid), v2.frames, grid)
     return _duhamel_close(tg, grid, prod, -1j)
 
 
@@ -198,7 +198,6 @@ def duhamel_K(
     v3: SpaceTimeFunction,
     v4: SpaceTimeFunction,
     v5: SpaceTimeFunction,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SpaceTimeFunction:
     """Quintic Duhamel operator:
     -(1/2) int_0^t S(t-t') v1 conj(v2) v3 conj(v4) v5 dt'.
@@ -208,10 +207,10 @@ def duhamel_K(
     """
     _check_compatible(v1, v2, v3, v4, v5)
     grid, tg = v1.grid, v1.time_grid
-    ab = _conv_window(v1.frames, _conj_reflect(v2.frames), grid, clip_tol)
-    cd = _conv_window(v3.frames, _conj_reflect(v4.frames), grid, clip_tol)
-    abcd = _conv_window(ab, cd, grid, clip_tol)
-    prod = _conv_window(abcd, v5.frames, grid, clip_tol)
+    ab = _conv_window(v1.frames, _conj_reflect(v2.frames), grid)
+    cd = _conv_window(v3.frames, _conj_reflect(v4.frames), grid)
+    abcd = _conv_window(ab, cd, grid)
+    prod = _conv_window(abcd, v5.frames, grid)
     return _duhamel_close(tg, grid, prod, -0.5)
 
 
@@ -220,7 +219,6 @@ def psi(
     phi: SpectralFunction,
     tg: TimeGrid,
     cap: int = DEFAULT_GENERATION_CAP,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SpaceTimeFunction:
     """Multilinear Picard term of one tree: leaves become S(t) phi, 3-ary
     nodes the cubic operator, 5-ary nodes the quintic one."""
@@ -232,15 +230,15 @@ def psi(
     if tree.is_leaf:
         return free_frames(phi, tg)
     op = duhamel_J if len(tree.children) == 3 else duhamel_K
-    return op(*(psi(c, phi, tg, cap, clip_tol) for c in tree.children), clip_tol=clip_tol)
+    return op(*(psi(c, phi, tg, cap) for c in tree.children))
 
 
-def _accumulate(terms, clip_tol: float) -> SpaceTimeFunction:
+def _accumulate(terms) -> SpaceTimeFunction:
     """Sum of op(*args) over the nonempty list of (op, args), in order, in place."""
     (op, args), *rest = terms
-    total = op(*args, clip_tol=clip_tol)
+    total = op(*args)
     for op, args in rest:
-        total.frames += op(*args, clip_tol=clip_tol).frames
+        total.frames += op(*args).frames
     return total
 
 
@@ -248,7 +246,6 @@ def series_levels(
     phi: SpectralFunction,
     tg: TimeGrid,
     j_max: int,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> list[SpaceTimeFunction]:
     """Level sums Xi_0..Xi_{j_max} by the recursion Xi_0 = S(t) phi,
     Xi_j = sum_{j1+j2+j3=j-1} J(Xi_j1, Xi_j2, Xi_j3) + sum_{j1+..+j5=j-1} K(Xi_j1, .., Xi_j5):
@@ -259,7 +256,7 @@ def series_levels(
         # term runs before the level's accumulator exists
         terms = [(duhamel_K, [levels[i] for i in c]) for c in compositions(j - 1, 5)]
         terms += [(duhamel_J, [levels[i] for i in c]) for c in compositions(j - 1, 3)]
-        levels.append(_accumulate(terms, clip_tol))
+        levels.append(_accumulate(terms))
     return levels
 
 
@@ -269,27 +266,26 @@ def xi_generation(
     phi: SpectralFunction,
     tg: TimeGrid,
     cap: int = DEFAULT_GENERATION_CAP,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SpaceTimeFunction:
     """Sum of the Picard terms over every tree in generation (k, p), by the
     series_levels recursion over (k, p) pairs: J children sum to (k - 1, p),
     K children to (k, p - 1); terms are added in tree-enumeration order."""
     if k + p > cap:
         raise ResourceError(f"generation (k={k}, p={p}) above cap {cap}")
-    return _generation(k, p, {(0, 0): free_frames(phi, tg)}, clip_tol)
+    return _generation(k, p, {(0, 0): free_frames(phi, tg)})
 
 
-def _generation(k: int, p: int, table: dict, clip_tol: float) -> SpaceTimeFunction:
+def _generation(k: int, p: int, table: dict) -> SpaceTimeFunction:
     """Xi_(k,p) from the per-call table of lower generations, filled on demand."""
     if (k, p) not in table:
         terms = [
-            (op, [_generation(a, b, table, clip_tol) for a, b in zip(ks, ps)])
+            (op, [_generation(a, b, table) for a, b in zip(ks, ps)])
             for op, arity, kc, pc in ((duhamel_J, 3, k - 1, p), (duhamel_K, 5, k, p - 1))
             if kc >= 0 and pc >= 0
             for ks in compositions(kc, arity)
             for ps in compositions(pc, arity)
         ]
-        table[(k, p)] = _accumulate(terms, clip_tol)
+        table[(k, p)] = _accumulate(terms)
     return table[(k, p)]
 
 
@@ -298,12 +294,11 @@ def xi_level(
     phi: SpectralFunction,
     tg: TimeGrid,
     cap: int = DEFAULT_GENERATION_CAP,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SpaceTimeFunction:
     """Sum of xi_generation(k, p) over all k + p = j."""
     if j > cap:
         raise ResourceError(f"level {j} above cap {cap}")
-    return series_levels(phi, tg, j, clip_tol)[j]
+    return series_levels(phi, tg, j)[j]
 
 
 def level_summary(finals: list[SpectralFunction]) -> tuple:
@@ -335,14 +330,13 @@ def series_sum(
     phi: SpectralFunction,
     tg: TimeGrid,
     j_max: int = DEFAULT_GENERATION_CAP,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> SeriesResult:
     """Partial sum of the Picard series up to level j_max, evaluated at t_max.
 
     The tail is extrapolated geometrically from the last observed L^2 level
     ratio; an observed ratio >= 1 raises an accuracy (divergence) error.
     """
-    finals = [lvl.final for lvl in series_levels(phi, tg, j_max, clip_tol)]
+    finals = [lvl.final for lvl in series_levels(phi, tg, j_max)]
     total, l2s, ratio, tail = level_summary(finals)
     warnings = []
     if j_max >= 1 and ratio >= 1.0:

@@ -35,7 +35,7 @@ __all__ = [
     "spectrum_from_state",
 ]
 
-DEFAULT_C_STAB = 2.0
+C_STAB = 2.0
 EDGE_FRACTION = 0.05
 EDGE_MASS_TOL = 1e-6
 
@@ -190,14 +190,13 @@ def solve_gdnls(
     t_final: float,
     checkpoint_every: int | None = None,
     nonlinear: bool = True,
-    c_stab: float = DEFAULT_C_STAB,
 ) -> list[PhysicalState]:
     """Integrate to t_final; returns [v0, checkpoints..., final]."""
     cfg = v0.config
-    if abs(cfg.dt) > c_stab / cfg.xi_max**2:
+    if abs(cfg.dt) > C_STAB / cfg.xi_max**2:
         raise ConfigurationError(
             f"|dt| = {abs(cfg.dt)} exceeds the stability bound "
-            f"{c_stab / cfg.xi_max ** 2:.3e} = c_stab / xi_max^2"
+            f"{C_STAB / cfg.xi_max ** 2:.3e} = {C_STAB} / xi_max^2"
         )
     span = t_final - v0.time
     if span == 0:

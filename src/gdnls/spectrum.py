@@ -151,9 +151,9 @@ def make_phi(
     return SpectralFunction(grid, values)
 
 
-def smooth_bump(grid: FrequencyGrid, radius: float, s: float, h_s: float = 1.0) -> SpectralFunction:
+def smooth_bump(grid: FrequencyGrid, radius: float, s: float) -> SpectralFunction:
     """Smooth compactly supported spectrum exp(-1/(1-(xi/radius)^2)) on
-    (-radius, radius), scaled to the requested H^s norm."""
+    (-radius, radius), scaled to unit H^s norm."""
     xis = grid.xis
     u = xis / radius
     values = np.zeros(grid.count, dtype=np.complex128)
@@ -163,7 +163,7 @@ def smooth_bump(grid: FrequencyGrid, radius: float, s: float, h_s: float = 1.0) 
     norm = sobolev_norm(f, s)
     if norm == 0.0:
         raise ConfigurationError("bump unresolved on this grid; refine delta_xi")
-    f.values *= h_s / norm
+    f.values *= 1.0 / norm
     return f
 
 

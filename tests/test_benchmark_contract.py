@@ -1,0 +1,46 @@
+"""The benchmark tracer in perfbench/tracing.py wraps gdnls functions by name
+and its hooks read their arguments by parameter name.  A signature change
+that breaks it would otherwise only show when the benchmark runs."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# (layer, function) -> the parameter its hook reads
+HOOK_PARAMETERS = {
+    ("picard", "duhamel_J"): "v1",
+    ("picard", "duhamel_K"): "v1",
+    ("picard", "xi_level"): "tg",
+    ("solver", "step_gdnls"): "state",
+    ("spectrum", "sobolev_norm"): "f",
+    ("spectrum", "make_phi"): "grid",
+    ("spectrum", "smooth_bump"): "grid",
+    ("frames", "write_frames"): "path",
+}
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def test_traced_functions_exist(layers):
+    for layer, functions in layers.items():
+        module = importlib.import_module(f"gdnls.{layer}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"gdnls.{layer}.{name}"
+
+
+def test_hooked_functions_keep_their_parameters(layers):
+    for (layer, name), param in HOOK_PARAMETERS.items():
+        assert layers[layer][name] is not None, f"{layer}.{name} has no hook"
+        fn = getattr(importlib.import_module(f"gdnls.{layer}"), name)
+        assert param in inspect.signature(fn).parameters, f"gdnls.{layer}.{name}({param})"

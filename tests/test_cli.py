@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gdnls.cli import main
@@ -158,3 +159,51 @@ def test_inflate_csv_monotone_ratio(capsys):
     ratios = [float(line.split(",")[ratio_col]) for line in lines[1:]]
     assert len(ratios) == 2
     assert ratios[1] > ratios[0]
+
+
+def test_inflate_j_max_zero_exit_2(capsys):
+    code, _, err = run(
+        capsys,
+        "inflate", "--s", "-1", "--N", "64", "--delta", "1", "--j-max", "0",
+        "--no-perturbation", "--time-steps", "4",
+    )
+    assert code == 2
+    assert "ConfigurationError" in err
+
+
+@pytest.mark.parametrize("lemma", ["2.6", "2.10"])
+def test_verify_report_is_json(capsys, lemma):
+    code, out, _ = run(
+        capsys, "verify", "--lemma", lemma, "--N", "256", "--k", "1", "--p", "0",
+        "--time-steps", "8",
+    )
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_solve_frames_out_rejects_uneven_checkpoints(capsys, tmp_path):
+    # 10 steps, checkpoints at steps 0, 4, 8, 10: not evenly spaced
+    code, _, err = run(
+        capsys,
+        "solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1e-3",
+        "--checkpoint-every", "4", "--frames-out", str(tmp_path / "uneven.niqk1"),
+    )
+    assert code == 2
+    assert "ConfigurationError" in err
+
+
+def test_solve_frames_out_times_match_checkpoints(capsys, tmp_path):
+    from gdnls.frames import read_frames
+
+    path = tmp_path / "even.niqk1"
+    code, out, _ = run(
+        capsys,
+        "solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1.6e-3",
+        "--checkpoint-every", "4", "--frames-out", str(path),
+    )
+    assert code == 0
+    assert json.loads(out)["checkpoints"] == 5
+    stored = read_frames(path)
+    assert stored.frames.shape[0] == 5
+    checkpoint_times = 4e-4 * np.arange(5)
+    assert np.allclose(stored.time_grid.times, checkpoint_times, rtol=1e-9, atol=0.0)

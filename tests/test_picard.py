@@ -223,7 +223,7 @@ def test_generation_cap_enforced():
 
 
 def test_level_sums_generations():
-    grid, phi, tg = coarse_setup(generations=2)
+    grid, phi, tg = coarse_setup(steps=16, generations=2)
     lvl = xi_level(1, phi, tg, cap=1)
     parts = xi_generation(1, 0, phi, tg, cap=1) + xi_generation(0, 1, phi, tg, cap=1)
     assert np.allclose(lvl.frames, parts.frames)
