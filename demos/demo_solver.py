@@ -40,7 +40,7 @@ def main():
     phi = make_phi(params, grid, min_points_per_block=8)
     tg = TimeGrid.for_extent(params.T, grid.xi_max)
     sr = series_sum(phi, tg, j_max=2)
-    solved, _ = _solver_final(phi, params, tg, 1 << 16)
+    solved, _ = _solver_final(phi, params, 1 << 16)
     diff = sobolev_norm(type(phi)(grid, solved.values - sr.total.values), 0.0)
     rel = diff / sobolev_norm(sr.total, 0.0)
     print(f"series vs solver at small data: relative L2 difference {rel:.2e}")

@@ -34,12 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file with option defaults; flags win")
     common.add_argument("--output", help="write the result to this path instead of stdout")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--margin", type=float,
-                        help="operational factor for 'much less/greater than'")
-    common.add_argument("--points-per-block", type=int,
-                        help="frequency grid points per block width A")
-    common.add_argument("--time-steps", type=int,
-                        help="override the time-quadrature step count")
 
     p = sub.add_parser("trees", parents=[common], help="count or enumerate ternary-quinary trees")
     p.add_argument("--count", nargs=2, type=int, metavar=("K", "P"))
@@ -48,9 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norms", parents=[common], help="norm report of the two-block datum")
     _data_flags(p)
+    _shared_flags(p, "points-per-block")
 
     p = sub.add_parser("iterate", parents=[common], help="evaluate one Picard generation")
     _data_flags(p)
+    _shared_flags(p, "T", "points-per-block", "time-steps")
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--t", type=float, help="evaluation time (default T)")
@@ -59,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run one lemma verification")
     p.add_argument("--lemma", required=True, choices=("2.5", "2.6", "2.8", "2.9", "2.10"))
     _data_flags(p)
+    _shared_flags(p, "T", "margin", "points-per-block", "time-steps")
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--j", type=int)
@@ -76,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames-out", help="write checkpoints in the binary NIQK1 format")
 
     p = sub.add_parser("inflate", parents=[common], help="run the norm-inflation sweep")
+    _shared_flags(p, "margin", "points-per-block", "time-steps")
     p.add_argument("--s", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--N", nargs="+", type=float)
@@ -93,7 +91,20 @@ def _data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=float)
     p.add_argument("--A", type=float)
     p.add_argument("--R", type=float)
-    p.add_argument("--T", type=float, help="default 0.05 / N^2")
+
+
+# flags taken by some subcommands only: each subcommand gets the ones it reads
+_SHARED_FLAGS = {
+    "T": dict(type=float, help="default 0.05 / N^2"),
+    "margin": dict(type=float, help="operational factor for 'much less/greater than'"),
+    "points-per-block": dict(type=int, help="frequency grid points per block width A"),
+    "time-steps": dict(type=int, help="override the time-quadrature step count"),
+}
+
+
+def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument("--" + name, **_SHARED_FLAGS[name])
 
 
 # defaults applied after the config file, so that both flags and config
@@ -118,8 +129,15 @@ _DEFAULTS = {
 
 def _apply_config(args: argparse.Namespace, parser_keys: set[str]) -> None:
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config file: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(f"config file {args.config} must hold a JSON object")
         unknown = set(cfg) - parser_keys
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -141,7 +159,9 @@ def _require(args, *keys):
 
 def _params_from(args) -> spectrum.ParameterSet:
     _require(args, "N")
-    T = args.T if args.T is not None else estimates.TIME_WINDOW_FACTOR * args.N**-2
+    T = getattr(args, "T", None)  # norms takes no --T
+    if T is None:
+        T = estimates.TIME_WINDOW_FACTOR * args.N**-2
     return spectrum.ParameterSet(s=args.s, N=args.N, A=args.A, R=args.R, T=T)
 
 
@@ -266,6 +286,16 @@ def _cmd_verify(args) -> dict:
 def _cmd_solve(args) -> dict:
     _require(args, "L", "modes", "dt", "T")
     config = solver.TorusConfig(length=args.L, modes=args.modes, dt=args.dt)
+    if args.frames_out:
+        steps, every = round(args.T / args.dt), args.checkpoint_every or 0
+        intervals = steps // every if every > 0 and steps % every == 0 else 0
+        # NIQK1 frames carry no times of their own: they are read back as an
+        # even, evenly spaced Simpson grid on [0, t_max]
+        if intervals < 4 or intervals % 2:
+            raise ConfigurationError(
+                f"--frames-out needs --checkpoint-every to split the {steps} steps into an "
+                f"even number (>= 4) of equal intervals (got --checkpoint-every {every})"
+            )
     if args.initial_csv:
         f = frames.spectral_from_csv(args.initial_csv)
         state = solver.state_from_spectrum(f, config)
@@ -289,24 +319,10 @@ def _cmd_solve(args) -> dict:
 
 def _write_checkpoints(trajectory, path) -> None:
     cfg = trajectory[0].config
-    times = np.array([s.time for s in trajectory])
-    steps = len(trajectory) - 1
-    gaps = np.diff(times)
-    # NIQK1 frames carry no times of their own: they are read back as an
-    # even, evenly spaced Simpson grid on [0, t_max]
-    if steps < 4 or steps % 2 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ConfigurationError(
-            f"--frames-out needs an even number (>= 4) of evenly spaced checkpoint "
-            f"intervals, got {steps}: choose --checkpoint-every so that it splits "
-            "the step count into such intervals"
-        )
-    spectra = np.stack([np.fft.fftshift(np.fft.fft(s.samples)) / cfg.modes for s in trajectory])
-    grid = spectrum.FrequencyGrid(
-        xi_min=float(np.fft.fftshift(cfg.wavenumbers)[0]),
-        delta_xi=2 * math.pi / cfg.length,
-        count=cfg.modes,
-    )
-    tg = picard.TimeGrid(t_max=abs(times[-1] - times[0]), steps=steps)
+    dxi = 2 * math.pi / cfg.length
+    grid = spectrum.FrequencyGrid(xi_min=-(cfg.modes // 2) * dxi, delta_xi=dxi, count=cfg.modes)
+    spectra = np.stack([solver.spectrum_from_state(s, grid).values for s in trajectory])
+    tg = picard.TimeGrid(t_max=abs(trajectory[-1].time - trajectory[0].time), steps=len(trajectory) - 1)
     frames.write_frames(picard.SpaceTimeFunction(tg, grid, spectra), path)
 
 

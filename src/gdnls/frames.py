@@ -80,15 +80,26 @@ def spectral_to_csv(f: SpectralFunction, path_or_buf) -> None:
 
 
 def spectral_from_csv(path_or_buf) -> SpectralFunction:
-    buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
+    try:
+        buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read spectrum CSV: {exc}") from exc
     try:
         rows = [line.strip().split(",") for line in buf if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"spectrum CSV is not text: {exc}") from exc
     finally:
         if buf is not path_or_buf:
             buf.close()
     if not rows or rows[0] != ["xi", "re", "im"]:
         raise ConfigurationError("expected CSV header 'xi,re,im'")
-    data = np.array([[float(c) for c in row] for row in rows[1:]])
+    bad = next((n for n, row in enumerate(rows[1:], 2) if len(row) != 3), None)
+    if bad is not None:
+        raise ConfigurationError(f"CSV row {bad} does not have three cells xi,re,im")
+    try:
+        data = np.array([[float(c) for c in row] for row in rows[1:]])
+    except ValueError as exc:
+        raise ConfigurationError(f"non-numeric CSV cell: {exc}") from exc
     if data.shape[0] < 2:
         raise ConfigurationError("need at least two grid points")
     xis = data[:, 0]

@@ -11,7 +11,7 @@ inequality conditions hold with a configured margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -230,7 +230,7 @@ def _series_final(v0, phi, params, tg, j_max):
     return total, decomposition, tail, ratio
 
 
-def _solver_final(v0, params, tg, modes_cap):
+def _solver_final(v0, params, modes_cap):
     grid = v0.grid
     length = 2 * np.pi / grid.delta_xi
     need = 3.0 * grid.xi_max / grid.delta_xi
@@ -240,10 +240,9 @@ def _solver_final(v0, params, tg, modes_cap):
             f"solver validation needs {modes} modes (> cap {modes_cap}); "
             "use the series method at this scale"
         )
-    xi_max = 2 * np.pi / length * (modes // 3)
-    dt0 = 0.5 / xi_max**2
-    n_steps = max(4, math.ceil(params.T / dt0))
-    config = TorusConfig(length=length, modes=modes, dt=params.T / n_steps)
+    config = TorusConfig(length=length, modes=modes, dt=params.T)
+    n_steps = max(4, math.ceil(params.T / (0.5 / config.xi_max**2)))
+    config = replace(config, dt=params.T / n_steps)
     state = state_from_spectrum(v0, config)
     mass0 = state.mass
     final_state = solve_gdnls(state, params.T)[-1]
@@ -306,7 +305,7 @@ def run_experiment(
             if ratio >= 0.5:
                 warnings.append(f"series level ratio {ratio:.3g} >= 1/2")
         if method in ("solver", "both"):
-            solved, drift = _solver_final(v0, params, tg, SOLVER_MODES_CAP)
+            solved, drift = _solver_final(v0, params, SOLVER_MODES_CAP)
             final_solver = sobolev_norm(solved, s)
             if method == "both":
                 diff = SpectralFunction(grid, solved.values - total.values)

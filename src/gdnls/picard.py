@@ -360,7 +360,6 @@ def first_iterate_quintic_exact(
     phi: SpectralFunction,
     t: float,
     grid: FrequencyGrid | None = None,
-    xi_indices: np.ndarray | None = None,
 ) -> SpectralFunction:
     """Direct-sum oracle for the quintic first iterate K^5[S(t) phi].
 
@@ -399,9 +398,8 @@ def first_iterate_quintic_exact(
     lookup = phi.values
     dxi = grid.delta_xi
     out = np.zeros(grid.count, dtype=np.complex128)
-    indices = np.arange(grid.count) if xi_indices is None else np.asarray(xi_indices)
     pref = -0.5 * (dxi / (2 * np.pi)) ** 4
-    for j in indices:
+    for j in range(grid.count):
         xi = grid.xis[j]
         xi5 = xi - shift
         i5 = np.rint((xi5 - grid.xi_min) / dxi).astype(np.intp)

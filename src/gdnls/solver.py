@@ -38,6 +38,8 @@ __all__ = [
 C_STAB = 2.0
 EDGE_FRACTION = 0.05
 EDGE_MASS_TOL = 1e-6
+# in cells; the 1e-9 spacing tolerance lets points drift ~1e-4 cells over 2^16 points
+LATTICE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -219,42 +221,43 @@ def solve_dnls(u0: PhysicalState, t_final: float, **kwargs) -> list[PhysicalStat
     return [ungauge(s) for s in gauged]
 
 
+def _mode_indices(grid: FrequencyGrid, config: TorusConfig) -> np.ndarray:
+    """Torus mode index k of every grid point xi = 2 pi k / L; raises off that lattice."""
+    dxi = 2 * np.pi / config.length
+    if abs(grid.delta_xi - dxi) > 1e-9 * dxi:
+        raise ConfigurationError(f"grid spacing {grid.delta_xi} must equal 2 pi / L = {dxi}")
+    cells = grid.xis / dxi
+    k = np.rint(cells)
+    if np.max(np.abs(cells - k)) > LATTICE_TOL:
+        raise ConfigurationError(f"grid points lie off the torus lattice 2 pi k / L, L = {config.length}")
+    return k.astype(np.int64)
+
+
 def state_from_spectrum(f: SpectralFunction, config: TorusConfig, time: float = 0.0) -> PhysicalState:
     """Periodize a line spectrum: requires delta_xi = 2 pi / L so grid points
     coincide with torus modes.  u(x) = (delta_xi / 2 pi) sum f_hat(xi_k) e^{i xi_k x}."""
+    k = _mode_indices(f.grid, config)
     dxi = 2 * np.pi / config.length
-    if abs(f.grid.delta_xi - dxi) > 1e-9 * dxi:
-        raise ConfigurationError(
-            f"grid spacing {f.grid.delta_xi} must equal 2 pi / L = {dxi}"
-        )
     m = config.modes
+    nonzero = f.values != 0
+    above = nonzero & (np.abs(k) > config.band_limit)
+    if np.any(above):
+        xi = f.grid.xis[np.argmax(above)]
+        raise ConfigurationError(f"spectral content at xi = {xi} above the torus band limit {config.xi_max}")
     c_hat = np.zeros(m, dtype=np.complex128)
-    for j, xi in enumerate(f.grid.xis):
-        if f.values[j] == 0:
-            continue
-        k = int(round(xi / dxi))
-        if abs(k) > config.band_limit:
-            raise ConfigurationError(
-                f"spectral content at xi = {xi} above the torus band limit {config.xi_max}"
-            )
-        c_hat[k % m] = f.values[j] * dxi / (2 * np.pi)
+    c_hat[k[nonzero] % m] = f.values[nonzero] * dxi / (2 * np.pi)
     samples = np.fft.ifft(c_hat) * m
     return PhysicalState(config, samples, time)
 
 
 def spectrum_from_state(state: PhysicalState, grid: FrequencyGrid) -> SpectralFunction:
-    """Inverse of state_from_spectrum on the resolved band."""
+    """Inverse of state_from_spectrum on the resolved band |k| <= M/2 - 1; zero elsewhere."""
     cfg = state.config
+    k = _mode_indices(grid, cfg)
     dxi = 2 * np.pi / cfg.length
-    if abs(grid.delta_xi - dxi) > 1e-9 * dxi:
-        raise ConfigurationError("grid spacing must equal 2 pi / L")
     c_hat = np.fft.fft(state.samples) / cfg.modes
-    values = np.zeros(grid.count, dtype=np.complex128)
-    for j, xi in enumerate(grid.xis):
-        k = int(round(xi / dxi))
-        if abs(k) <= cfg.modes // 2 - 1:
-            values[j] = c_hat[k % cfg.modes] * 2 * np.pi / dxi
-    return SpectralFunction(grid, values)
+    kept = np.abs(k) <= cfg.modes // 2 - 1
+    return SpectralFunction(grid, np.where(kept, c_hat[k % cfg.modes] * 2 * np.pi / dxi, 0.0))
 
 
 def reversed_config(config: TorusConfig) -> TorusConfig:

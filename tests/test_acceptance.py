@@ -156,7 +156,7 @@ def test_criterion_5_solver_validity():
         phi = make_phi(p, grid, min_points_per_block=8)
         tg = TimeGrid.for_extent(p.T, grid.xi_max)
         sr = series_sum(phi, tg, j_max=2)
-        solved, drift = _solver_final(phi, p, tg, 1 << 16)
+        solved, drift = _solver_final(phi, p, 1 << 16)
         num = sobolev_norm(
             type(phi)(grid, solved.values - sr.total.values), 0.0
         )

@@ -181,7 +181,12 @@ def test_verify_report_is_json(capsys, lemma):
     assert json.loads(out)["passed"] is True
 
 
-def test_solve_frames_out_rejects_uneven_checkpoints(capsys, tmp_path):
+def _no_integration(*args, **kwargs):
+    raise AssertionError("solve_gdnls ran before the checkpoint spacing was checked")
+
+
+def test_solve_frames_out_rejects_uneven_checkpoints(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("gdnls.solver.solve_gdnls", _no_integration)
     # 10 steps, checkpoints at steps 0, 4, 8, 10: not evenly spaced
     code, _, err = run(
         capsys,
@@ -207,3 +212,101 @@ def test_solve_frames_out_times_match_checkpoints(capsys, tmp_path):
     assert stored.frames.shape[0] == 5
     checkpoint_times = 4e-4 * np.arange(5)
     assert np.allclose(stored.time_grid.times, checkpoint_times, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("every", [None, "0", "-4"])
+def test_solve_frames_out_needs_positive_checkpoint_every(capsys, tmp_path, monkeypatch, every):
+    monkeypatch.setattr("gdnls.solver.solve_gdnls", _no_integration)
+    argv = ["solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1.6e-3",
+            "--frames-out", str(tmp_path / "f.niqk1")]
+    if every is not None:
+        argv += ["--checkpoint-every", every]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "ConfigurationError" in err
+
+
+def test_flags_only_on_subcommands_that_read_them(capsys, tmp_path):
+    solve = ["solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1e-3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*solve, "--time-steps", "8"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"margin": 3.0}))
+    code, _, err = run(capsys, *solve, "--config", str(cfg))
+    assert code == 2
+    assert "margin" in err
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["csv-non-numeric", "csv-ragged", "csv-missing", "csv-not-text",
+     "config-missing", "config-invalid-json", "config-not-text", "config-number", "config-list"],
+)
+def test_malformed_outside_input_exit_2(capsys, tmp_path, case):
+    solve = ["solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1e-3"]
+    norms = ["norms", "--N", "256", "--A", "16", "--R", "4"]
+    argv = {
+        "csv-non-numeric": solve + ["--initial-csv", _write(tmp_path / "a.csv", "xi,re,im\n0,1,x\n1,0,0\n")],
+        "csv-ragged": solve + ["--initial-csv", _write(tmp_path / "b.csv", "xi,re,im\n0,1,0\n1,0\n")],
+        "csv-missing": solve + ["--initial-csv", str(tmp_path / "absent.csv")],
+        "csv-not-text": solve + ["--initial-csv", _write(tmp_path / "f.csv", b"xi,re,im\n\xff,0,0\n")],
+        "config-missing": norms + ["--config", str(tmp_path / "absent.json")],
+        "config-invalid-json": norms + ["--config", _write(tmp_path / "c.json", "{N: 256")],
+        "config-not-text": norms + ["--config", _write(tmp_path / "g.json", b"\xff\xfe{")],
+        "config-number": norms + ["--config", _write(tmp_path / "d.json", "256")],
+        "config-list": norms + ["--config", _write(tmp_path / "e.json", "[1, 2]")],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "ConfigurationError" in err
+
+
+def _csv_spectrum(path, xi_min_cells, count, length=40.0):
+    from gdnls.frames import spectral_to_csv
+    from gdnls.spectrum import FrequencyGrid, SpectralFunction
+
+    dxi = 2 * np.pi / length
+    grid = FrequencyGrid(xi_min=xi_min_cells * dxi, delta_xi=dxi, count=count)
+    xis = grid.xis
+    f = SpectralFunction(grid, 0.5 * np.sqrt(np.pi) * np.exp(-(xis**2) / 4 - 0.5j * length * xis))
+    spectral_to_csv(f, path)
+    return f
+
+
+def test_solve_off_lattice_csv_exit_2(capsys, tmp_path):
+    path = tmp_path / "off.csv"
+    _csv_spectrum(path, -10.5, 21)
+    code, _, err = run(
+        capsys,
+        "solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1e-3",
+        "--initial-csv", str(path),
+    )
+    assert code == 2
+    assert "ConfigurationError" in err
+
+
+def test_solve_frames_carry_package_spectrum(capsys, tmp_path):
+    from gdnls.frames import read_frames
+
+    csv, frames_path = tmp_path / "g.csv", tmp_path / "f.niqk1"
+    f = _csv_spectrum(csv, -85, 171)
+    code, _, _ = run(
+        capsys,
+        "solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "4e-4",
+        "--initial-csv", str(csv), "--checkpoint-every", "1", "--frames-out", str(frames_path),
+    )
+    assert code == 0
+    stored = read_frames(frames_path)
+    # frame grid: k = -128..127; the CSV holds k = -85..85
+    frame0 = stored.frames[0][128 - 85 : 128 + 86]
+    assert np.allclose(stored.grid.xis[128 - 85 : 128 + 86], f.grid.xis, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(frame0 - f.values)) <= 1e-12 * np.max(np.abs(f.values))

@@ -167,3 +167,73 @@ def test_spectrum_conversion_requires_matching_spacing():
     f = SpectralFunction(grid, np.zeros(grid.count))
     with pytest.raises(ConfigurationError):
         state_from_spectrum(f, cfg)
+
+
+def state_from_spectrum_loop(f, config):
+    """Per-point reference for state_from_spectrum (samples only)."""
+    dxi = 2 * np.pi / config.length
+    m = config.modes
+    c_hat = np.zeros(m, dtype=np.complex128)
+    for j, xi in enumerate(f.grid.xis):
+        if f.values[j] == 0:
+            continue
+        k = int(round(xi / dxi))
+        assert abs(k) <= config.band_limit
+        c_hat[k % m] = f.values[j] * dxi / (2 * np.pi)
+    return np.fft.ifft(c_hat) * m
+
+
+def spectrum_from_state_loop(state, grid):
+    """Per-point reference for spectrum_from_state (values only)."""
+    cfg = state.config
+    dxi = 2 * np.pi / cfg.length
+    c_hat = np.fft.fft(state.samples) / cfg.modes
+    values = np.zeros(grid.count, dtype=np.complex128)
+    for j, xi in enumerate(grid.xis):
+        k = int(round(xi / dxi))
+        if abs(k) <= cfg.modes // 2 - 1:
+            values[j] = c_hat[k % cfg.modes] * 2 * np.pi / dxi
+    return values
+
+
+def torus_gaussian(length, modes, amplitude=0.5):
+    """Spectrum of a exp(-(x - L/2)^2) on the solver band grid, f_hat = int f e^{-i x xi} dx."""
+    cfg = TorusConfig(length=length, modes=modes, dt=1e-4)
+    dxi = 2 * np.pi / length
+    band = cfg.band_limit
+    grid = FrequencyGrid(xi_min=-band * dxi, delta_xi=dxi, count=2 * band + 1)
+    xis = grid.xis
+    values = amplitude * np.sqrt(np.pi) * np.exp(-(xis**2) / 4 - 0.5j * length * xis)
+    return cfg, SpectralFunction(grid, values)
+
+
+def random_spectrum(cfg, half=10, seed=7):
+    dxi = 2 * np.pi / cfg.length
+    grid = FrequencyGrid.symmetric(half * dxi, dxi)
+    rng = np.random.default_rng(seed)
+    return SpectralFunction(grid, rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count))
+
+
+@pytest.mark.parametrize("case", ["torus-gaussian", "random"])
+def test_spectrum_maps_match_loop_reference(case):
+    if case == "torus-gaussian":
+        cfg, f = torus_gaussian(L, 1 << 16)
+    else:
+        cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+        f = random_spectrum(cfg)
+    state = state_from_spectrum(f, cfg)
+    assert np.array_equal(state.samples, state_from_spectrum_loop(f, cfg))
+    back = spectrum_from_state(state, f.grid)
+    assert np.array_equal(back.values, spectrum_from_state_loop(state, f.grid))
+
+
+def test_spectrum_conversion_rejects_off_lattice_grid():
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    dxi = 2 * np.pi / L
+    # half-integer points: rounding would send 21 points onto 11 modes
+    grid = FrequencyGrid(xi_min=-10.5 * dxi, delta_xi=dxi, count=21)
+    f = SpectralFunction(grid, np.ones(grid.count))
+    with pytest.raises(ConfigurationError):
+        state_from_spectrum(f, cfg)
+    with pytest.raises(ConfigurationError):
+        spectrum_from_state(gaussian_state(cfg), grid)
