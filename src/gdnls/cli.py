@@ -22,7 +22,8 @@ from .errors import ConfigurationError, GdnlsError
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The gdnls parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="gdnls",
         description="Norm-inflation laboratory for the gauged derivative NLS",
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="series truncation level (2 gives the tail diagnostic)")
     p.add_argument("--no-perturbation", action="store_true",
                    help="use psi = 0 instead of the default smooth bump")
-    return parser
+    return parser, sub.choices
 
 
 def _data_flags(p: argparse.ArgumentParser) -> None:
@@ -127,24 +128,88 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(args: argparse.Namespace, parser_keys: set[str]) -> None:
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-            raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigurationError(f"config file {args.config} must hold a JSON object")
-        unknown = set(cfg) - parser_keys
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in cfg.items():
-            # flags win: only fill values the command line did not set
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+def _apply_config(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
+    if not args.config:
+        return
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config file {args.config} must hold a JSON object")
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(actions)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        value = _config_value(actions[key], value)
+        # flags win: only fill values the command line did not set (an unset
+        # store_true flag reads False)
+        current = getattr(args, key)
+        if current is None or current is False:
+            setattr(args, key, value)
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value converted as argparse converts the flag's own text:
+    through the flag's type, nargs and choices."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"config value for {flag} must be true or false, got {value!r}")
+        return value
+    if action.nargs is None:
+        return _config_item(action, flag, value)
+    if not isinstance(value, list) or not value or action.nargs not in ("+", len(value)):
+        count = "one or more" if action.nargs == "+" else action.nargs
+        raise ConfigurationError(f"config value for {flag} must be a list of {count} values, got {value!r}")
+    return [_config_item(action, flag, item) for item in value]
+
+
+def _config_item(action: argparse.Action, flag: str, item):
+    if isinstance(item, str):
+        text = item
+    elif action.type is None:
+        raise ConfigurationError(f"config value for {flag} must be a string, got {item!r}")
+    else:
+        # a JSON number converts from its JSON text, as a flag from its own
+        # text: 16.0 is no int, and true is no number
+        text = json.dumps(item)
+    try:
+        converted = text if action.type is None else action.type(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"config value {item!r} is not valid for {flag}: {exc}") from exc
+    if action.choices is not None and converted not in action.choices:
+        raise ConfigurationError(f"config value {item!r} for {flag} is not one of {list(action.choices)}")
+    return converted
+
+
+# the verify flags each lemma reads; any other one, set as a flag or as a
+# config key, is an error
+_DATUM_FLAGS = ("s", "N", "A", "R", "T", "points_per_block", "time_steps")
+_LEMMA_FLAGS = {
+    "2.5": (*_DATUM_FLAGS, "k", "p"),
+    "2.6": (*_DATUM_FLAGS, "k", "p"),
+    "2.8": (),
+    "2.9": (*_DATUM_FLAGS, "margin", "t"),
+    "2.10": (*_DATUM_FLAGS, "j"),
+}
+
+
+def _check_lemma_flags(args: argparse.Namespace) -> None:
+    """Reject verify flags the chosen lemma does not read; runs before the
+    defaults fill them."""
+    read = {"command", "config", "output", "format", "lemma", *_LEMMA_FLAGS[args.lemma]}
+    unread = sorted(k for k, v in vars(args).items() if v is not None and k not in read)
+    if unread:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+        raise ConfigurationError(f"verify --lemma {args.lemma} does not read {flags}")
+
+
+def _apply_defaults(args: argparse.Namespace) -> None:
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
@@ -357,11 +422,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        keys = {k for k in vars(args) if k not in ("command", "config")}
-        _apply_config(args, keys)
+        _apply_config(args, subparsers[args.command])
+        if args.command == "verify":
+            _check_lemma_flags(args)
+        _apply_defaults(args)
         payload = _COMMANDS[args.command](args)
         _emit(args, payload)
     except GdnlsError as exc:

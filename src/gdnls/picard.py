@@ -13,9 +13,16 @@ f_hat = int f exp(-i x xi) dx):
     F[d/dx conj(f)]  = i xi conj(f_hat(-xi))
 
 Continuous convolutions are approximated by delta_xi-weighted discrete
-convolutions, computed by FFT with full zero padding (no circular
-wraparound) and re-windowed onto the shared grid.  Mass that falls within
-two cells of the grid edge triggers an accuracy error.
+convolutions.  A Duhamel product is one multi-operand product of transforms:
+each frame row is stored circularly (xi = 0 at index 0, negative xi at the
+end) and zero-padded to P = next_fast_len(6 half + 3) points, where
+half = (count - 1) // 2.  A 5-fold product of rows supported on |index| <= half
+reaches |index| <= 5 half, so at this length the circular wraparound never
+lands on the kept window or its two outermost cells.  In this layout the
+transform of conj(v(-xi)) is conj(F[v]), so conjugate slots need no transform
+of their own.  The edge test runs on the final product only: mass outside the
+kept window, or in its two outermost cells at either end, above CLIP_TOL of
+the peak triggers an accuracy error.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import cumulative_simpson
-from scipy.signal import fftconvolve
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
 from .spectrum import FrequencyGrid, SpectralFunction, sobolev_norm
@@ -47,7 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_GENERATION_CAP = 2
-# relative edge mass above which a convolution counts as clipped by the grid
+# relative edge mass above which a product counts as clipped by the grid
 CLIP_TOL = 1e-10
 MIN_TIME_STEPS = 4
 PHASE_OVERSAMPLE = 16.0
@@ -131,47 +138,94 @@ def free_frames(phi: SpectralFunction, tg: TimeGrid) -> SpaceTimeFunction:
     return SpaceTimeFunction(tg, phi.grid, phase * phi.values[np.newaxis, :])
 
 
-def _conv_window(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """delta_xi-weighted convolution of two frame stacks, re-windowed onto grid.
-
-    The full linear convolution starts at 2*xi_min; for a symmetric grid the
-    window back onto [xi_min, xi_max] is the central slice.
-    """
-    full = fftconvolve(a, b, mode="full", axes=-1) * (grid.delta_xi / (2 * np.pi))
-    half = (grid.count - 1) // 2
-    kept = full[..., half : half + grid.count]
-    peak = np.max(np.abs(full))
-    if peak > 0:
-        edge = max(
-            np.max(np.abs(full[..., : half + 2]), initial=0.0),
-            np.max(np.abs(full[..., half + grid.count - 2 :]), initial=0.0),
-        )
-        if edge > CLIP_TOL * peak:
-            raise AccuracyError(
-                f"convolution support clipped at the grid edge "
-                f"(relative edge mass {edge / peak:.2e} > {CLIP_TOL:.1e}); widen the grid"
-            )
-    return np.ascontiguousarray(kept)
-
-
 def _conj_reflect(frames: np.ndarray) -> np.ndarray:
     """F[conj(v)] on a symmetric grid: conjugate and reverse the xi axis."""
     return np.conj(frames[..., ::-1])
 
 
+def _padded_len(grid: FrequencyGrid) -> int:
+    """FFT length of the circular layout; fixed per grid so that every
+    product on it takes the same transforms."""
+    return next_fast_len(6 * ((grid.count - 1) // 2) + 3)
+
+
 def _duhamel_close(
-    tg: TimeGrid, grid: FrequencyGrid, integrand: np.ndarray, prefactor: complex
-) -> SpaceTimeFunction:
-    """Apply exp(i t' xi^2) inside, cumulative Simpson in t', and the outer
-    free propagator exp(-i t xi^2)."""
-    phase = np.exp(1j * np.outer(tg.times, grid.xis**2))
-    shifted = phase * integrand
+    tg: TimeGrid, phase: np.ndarray, integrand: np.ndarray, prefactor: complex
+) -> np.ndarray:
+    """Apply phase = exp(i t' xi^2) inside, cumulative Simpson in t', and the
+    outer free propagator exp(-i t xi^2); overwrites integrand."""
+    integrand *= phase
     # cumulative_simpson only handles real data
     inner = cumulative_simpson(
-        shifted.real, dx=tg.dt, axis=0, initial=0.0
-    ) + 1j * cumulative_simpson(shifted.imag, dx=tg.dt, axis=0, initial=0.0)
-    out = prefactor * np.conj(phase) * inner
-    return SpaceTimeFunction(tg, grid, out)
+        integrand.real, dx=tg.dt, axis=0, initial=0.0
+    ) + 1j * cumulative_simpson(integrand.imag, dx=tg.dt, axis=0, initial=0.0)
+    inner *= np.conj(phase)
+    inner *= prefactor
+    return inner
+
+
+def _accumulate(terms) -> SpaceTimeFunction:
+    """Sum of the Duhamel products of a nonempty list of operand tuples, added
+    in order: three operands give duhamel_J, five give duhamel_K.
+
+    One time node at a time, each distinct operand (by identity) is
+    transformed once and shared by every term, and each term takes one
+    inverse transform.  Each term is closed in time before it is added, so a
+    multi-term call gives the bits of the sum of single-term calls.
+    """
+    operands = [v for term in terms for v in term]
+    _check_compatible(*operands)
+    tg, grid = operands[0].time_grid, operands[0].grid
+    half, size = (grid.count - 1) // 2, _padded_len(grid)
+    ixi = 1j * grid.xis
+    row = np.zeros(size, dtype=np.complex128)
+
+    def spectrum(v: SpaceTimeFunction, derivative: bool = False) -> np.ndarray:
+        """Transform of v, or of F[d/dx conj(v)] = i xi conj(v(-xi)), at node i."""
+        key = (id(v), derivative)
+        if key not in spectra:
+            values = ixi * _conj_reflect(v.frames[i]) if derivative else v.frames[i]
+            row[: half + 1] = values[half:]
+            row[size - half :] = values[:half]
+            spectra[key] = fft(row)
+        return spectra[key]
+
+    products = np.empty((len(terms), tg.steps + 1, grid.count), dtype=np.complex128)
+    peaks, edges = np.zeros(len(terms)), np.zeros(len(terms))
+    for i in range(tg.steps + 1):
+        spectra = {}
+        for n, term in enumerate(terms):
+            if len(term) == 3:
+                v1, v2, v3 = term
+                prod = spectrum(v1) * spectrum(v2) * spectrum(v3, derivative=True)
+            else:
+                v1, v2, v3, v4, v5 = term
+                prod = spectrum(v1) * np.conj(spectrum(v2)) * spectrum(v3)
+                prod *= np.conj(spectrum(v4))
+                prod *= spectrum(v5)
+            full = ifft(prod, overwrite_x=True)
+            mags = np.abs(full)
+            peaks[n] = max(peaks[n], mags.max())
+            # everything outside the kept window plus its two outermost cells
+            edges[n] = max(edges[n], mags[half - 1 : size - half + 2].max())
+            products[n, i, :half] = full[size - half :]
+            products[n, i, half:] = full[: half + 1]
+    clipped = edges > CLIP_TOL * peaks
+    if np.any(clipped):
+        ratio = np.max(edges[clipped] / peaks[clipped])
+        raise AccuracyError(
+            f"product support clipped at the grid edge "
+            f"(relative edge mass {ratio:.2e} > {CLIP_TOL:.1e}); widen the grid"
+        )
+
+    phase = np.exp(1j * np.outer(tg.times, grid.xis**2))
+    weight = grid.delta_xi / (2 * np.pi)
+    total = np.zeros_like(products[0])
+    for term, product in zip(terms, products):
+        # the convolution weight weight^(arity - 1) rides on the prefactor
+        prefactor = -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
+        total += _duhamel_close(tg, phase, product, prefactor)
+    return SpaceTimeFunction(tg, grid, total)
 
 
 def duhamel_J(
@@ -181,15 +235,9 @@ def duhamel_J(
 ) -> SpaceTimeFunction:
     """Cubic Duhamel operator: -i int_0^t S(t-t') v1 v2 d/dx conj(v3) dt'.
 
-    Output frequency support is S1 + S2 - S3 (Minkowski); the convolution is
-    ordered (v1 * reflect(v3)) * v2 so intermediate supports stay within the
-    grid whenever the final support does.
+    Output frequency support is S1 + S2 - S3 (Minkowski).
     """
-    _check_compatible(v1, v2, v3)
-    grid, tg = v1.grid, v1.time_grid
-    d3 = 1j * grid.xis * _conj_reflect(v3.frames)
-    prod = _conv_window(_conv_window(v1.frames, d3, grid), v2.frames, grid)
-    return _duhamel_close(tg, grid, prod, -1j)
+    return _accumulate([(v1, v2, v3)])
 
 
 def duhamel_K(
@@ -202,16 +250,9 @@ def duhamel_K(
     """Quintic Duhamel operator:
     -(1/2) int_0^t S(t-t') v1 conj(v2) v3 conj(v4) v5 dt'.
 
-    Convolution order ((1,2bar),(3,4bar)),5 keeps the alternating partial
-    sums inside the grid.
+    Output frequency support is S1 - S2 + S3 - S4 + S5 (Minkowski).
     """
-    _check_compatible(v1, v2, v3, v4, v5)
-    grid, tg = v1.grid, v1.time_grid
-    ab = _conv_window(v1.frames, _conj_reflect(v2.frames), grid)
-    cd = _conv_window(v3.frames, _conj_reflect(v4.frames), grid)
-    abcd = _conv_window(ab, cd, grid)
-    prod = _conv_window(abcd, v5.frames, grid)
-    return _duhamel_close(tg, grid, prod, -0.5)
+    return _accumulate([(v1, v2, v3, v4, v5)])
 
 
 def psi(
@@ -233,15 +274,6 @@ def psi(
     return op(*(psi(c, phi, tg, cap) for c in tree.children))
 
 
-def _accumulate(terms) -> SpaceTimeFunction:
-    """Sum of op(*args) over the nonempty list of (op, args), in order, in place."""
-    (op, args), *rest = terms
-    total = op(*args)
-    for op, args in rest:
-        total.frames += op(*args).frames
-    return total
-
-
 def series_levels(
     phi: SpectralFunction,
     tg: TimeGrid,
@@ -252,10 +284,8 @@ def series_levels(
     the sum of psi(tree) over all trees with j internal nodes, by multilinearity."""
     levels = [free_frames(phi, tg)]
     for j in range(1, j_max + 1):
-        # quintic terms first: K has the largest temporaries, and the first
-        # term runs before the level's accumulator exists
-        terms = [(duhamel_K, [levels[i] for i in c]) for c in compositions(j - 1, 5)]
-        terms += [(duhamel_J, [levels[i] for i in c]) for c in compositions(j - 1, 3)]
+        # quintic terms first, then cubic: the order fixes the bits of the sum
+        terms = [[levels[i] for i in c] for arity in (5, 3) for c in compositions(j - 1, arity)]
         levels.append(_accumulate(terms))
     return levels
 
@@ -279,8 +309,8 @@ def _generation(k: int, p: int, table: dict) -> SpaceTimeFunction:
     """Xi_(k,p) from the per-call table of lower generations, filled on demand."""
     if (k, p) not in table:
         terms = [
-            (op, [_generation(a, b, table) for a, b in zip(ks, ps)])
-            for op, arity, kc, pc in ((duhamel_J, 3, k - 1, p), (duhamel_K, 5, k, p - 1))
+            [_generation(a, b, table) for a, b in zip(ks, ps)]
+            for arity, kc, pc in ((3, k - 1, p), (5, k, p - 1))
             if kc >= 0 and pc >= 0
             for ks in compositions(kc, arity)
             for ps in compositions(pc, arity)

@@ -66,6 +66,23 @@ class TorusConfig:
     def wavenumbers(self) -> np.ndarray:
         return 2 * np.pi / self.length * np.fft.fftfreq(self.modes, d=1.0 / self.modes)
 
+    @cached_property
+    def e_half(self) -> np.ndarray:
+        """Integrating factor of the linear flow over dt / 2."""
+        k2 = self.wavenumbers**2
+        return np.exp(-1j * k2 * self.dt / 2)
+
+    @cached_property
+    def e_full(self) -> np.ndarray:
+        """Integrating factor of the linear flow over dt."""
+        return self.e_half**2
+
+    @cached_property
+    def k_pad(self) -> np.ndarray:
+        """Wavenumbers of the zero-padded grid the nonlinearity is evaluated on."""
+        pad = self.dealias_factor * self.modes
+        return 2 * np.pi / self.length * np.fft.fftfreq(pad, d=1.0 / pad)
+
     @property
     def band_limit(self) -> int:
         """Largest kept mode index; content above it is truncated."""
@@ -150,8 +167,7 @@ def _nonlinear_hat(config: TorusConfig, v_hat: np.ndarray) -> np.ndarray:
     padded[-(m // 2) :] = v_hat[-(m // 2) :]
     scale = pad / m
     v_phys = np.fft.ifft(padded) * scale
-    k_pad = 2 * np.pi / config.length * np.fft.fftfreq(pad, d=1.0 / pad)
-    vx_phys = np.fft.ifft(1j * k_pad * padded) * scale
+    vx_phys = np.fft.ifft(1j * config.k_pad * padded) * scale
     # overflow here just means the blow-up check in step_gdnls will fire
     with np.errstate(over="ignore", invalid="ignore"):
         g_phys = -(v_phys**2) * np.conj(vx_phys) + 0.5j * np.abs(v_phys) ** 4 * v_phys
@@ -166,10 +182,7 @@ def _nonlinear_hat(config: TorusConfig, v_hat: np.ndarray) -> np.ndarray:
 def step_gdnls(state: PhysicalState, nonlinear: bool = True) -> PhysicalState:
     """One integrating-factor RK4 step."""
     cfg = state.config
-    dt = cfg.dt
-    k2 = cfg.wavenumbers**2
-    e_half = np.exp(-1j * k2 * dt / 2)
-    e_full = e_half**2
+    dt, e_half, e_full = cfg.dt, cfg.e_half, cfg.e_full
     v_hat = np.fft.fft(state.samples)
 
     if nonlinear:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,83 @@ def test_config_unknown_keys_rejected(capsys, tmp_path):
     assert "bogus_knob" in err
 
 
+@pytest.mark.parametrize(
+    "command, config, flag",
+    [
+        ("norms", {"N": "abc", "A": 16, "R": 4}, "--N"),
+        ("norms", {"N": 256, "points_per_block": 16.0}, "--points-per-block"),
+        ("norms", {"N": 256, "R": True}, "--R"),
+        ("norms", {"N": 256, "format": "xml"}, "--format"),
+        ("norms", {"N": 256, "output": 5}, "--output"),
+        ("inflate", {"N": 64}, "--N"),
+        ("inflate", {"N": [64, "x"]}, "--N"),
+        ("inflate", {"N": [64], "no_perturbation": "yes"}, "--no-perturbation"),
+        ("trees", {"count": [1]}, "--count"),
+    ],
+)
+def test_config_values_type_checked(capsys, tmp_path, command, config, flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "ConfigurationError" in err
+    assert flag in err
+
+
+def test_config_inflate_matches_flags(capsys, tmp_path):
+    flags = ["--s", "-1", "--N", "64", "--delta", "1", "--j-max", "1", "--time-steps", "4",
+             "--no-perturbation"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"s": -1, "N": [64], "delta": 1, "j_max": 1, "time_steps": 4,
+                               "no_perturbation": True}))
+    code, by_flags, _ = run(capsys, "inflate", *flags)
+    assert code == 0
+    code, by_config, _ = run(capsys, "inflate", "--config", str(cfg))
+    assert code == 0
+    assert by_config == by_flags
+
+
+def _no_estimate(*args, **kwargs):
+    raise AssertionError("the lemma ran before its flags were checked")
+
+
+@pytest.mark.parametrize(
+    "lemma, extra",
+    [
+        ("2.8", ["--N", "5", "--time-steps", "3", "--j", "9"]),
+        ("2.5", ["--N", "256", "--j", "2"]),
+        ("2.6", ["--N", "256", "--t", "1e-6"]),
+        ("2.9", ["--N", "256", "--k", "1"]),
+        ("2.10", ["--N", "256", "--p", "0"]),
+        ("2.10", ["--N", "256", "--margin", "3"]),
+    ],
+)
+def test_verify_rejects_flags_the_lemma_does_not_read(capsys, monkeypatch, lemma, extra):
+    for name in ("verify_lemma25", "verify_lemma26", "verify_prop29", "verify_lemma210"):
+        monkeypatch.setattr(f"gdnls.estimates.{name}", _no_estimate)
+    code, _, err = run(capsys, "verify", "--lemma", lemma, *extra)
+    assert code == 2
+    assert "ConfigurationError" in err
+    assert extra[-2] in err
+
+
+def test_verify_rejects_config_keys_the_lemma_does_not_read(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 256, "j": 1}))
+    code, _, err = run(capsys, "verify", "--lemma", "2.5", "--config", str(cfg))
+    assert code == 2
+    assert "--j" in err
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gdnls.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_iterate_and_frames_output(capsys, tmp_path):
     frames_path = tmp_path / "out.niqk1"
     code, out, _ = run(
@@ -173,8 +254,9 @@ def test_inflate_j_max_zero_exit_2(capsys):
 
 @pytest.mark.parametrize("lemma", ["2.6", "2.10"])
 def test_verify_report_is_json(capsys, lemma):
+    generation = {"2.6": ["--k", "1", "--p", "0"], "2.10": ["--j", "1"]}[lemma]
     code, out, _ = run(
-        capsys, "verify", "--lemma", lemma, "--N", "256", "--k", "1", "--p", "0",
+        capsys, "verify", "--lemma", lemma, "--N", "256", *generation,
         "--time-steps", "8",
     )
     assert code == 0

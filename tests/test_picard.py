@@ -3,6 +3,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.signal import fftconvolve
 
 from gdnls.errors import AccuracyError, ConfigurationError, ResourceError
 from gdnls.picard import (
@@ -13,6 +15,7 @@ from gdnls.picard import (
     first_iterate_quintic_exact,
     free_frames,
     psi,
+    series_levels,
     series_sum,
     xi_generation,
     xi_level,
@@ -127,6 +130,91 @@ def test_edge_clipping_detected():
     v = free_frames(phi, tg)
     with pytest.raises(AccuracyError):
         duhamel_K(v, v, v, v, v)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_one_sided_edge_clipping_detected(side):
+    """A block on one side of 0: its products leak past one grid edge only."""
+    tg = TimeGrid(t_max=1e-3, steps=4)
+
+    def block(xi_max, sign):
+        grid = FrequencyGrid.symmetric(xi_max, 0.25)
+        lo, hi = sorted(sign * np.array([10.0, 12.0]))
+        inside = (grid.xis >= lo) & (grid.xis <= hi)
+        return free_frames(SpectralFunction(grid, inside.astype(np.complex128)), tg)
+
+    # J(v, v, v) is supported on side * [8, 14], K(v, .., v) on side * [6, 16]
+    wide, tight = block(20.0, side), block(13.0, side)
+    for op, arity in ((duhamel_J, 3), (duhamel_K, 5)):
+        op(*[wide] * arity)
+        with pytest.raises(AccuracyError):
+            op(*[tight] * arity)
+    # with the mirrored block in the conjugate slots the products lie wholly
+    # past the edge, on side * [30, 36] (J) and side * [50, 60] (K): they must
+    # not wrap around onto the grid unseen
+    mirror = block(13.0, -side)
+    with pytest.raises(AccuracyError):
+        duhamel_J(tight, tight, mirror)
+    with pytest.raises(AccuracyError):
+        duhamel_K(tight, mirror, tight, mirror, tight)
+
+
+def _conv_window_reference(a, b, grid):
+    """Pairwise delta_xi-weighted linear convolution of two frame stacks with
+    full zero padding, re-windowed onto grid."""
+    full = fftconvolve(a, b, mode="full", axes=-1) * (grid.delta_xi / (2 * np.pi))
+    half = (grid.count - 1) // 2
+    return full[..., half : half + grid.count]
+
+
+def _close_reference(v, integrand, prefactor):
+    tg, grid = v.time_grid, v.grid
+    phase = np.exp(1j * np.outer(tg.times, grid.xis**2))
+    shifted = phase * integrand
+    inner = cumulative_simpson(shifted.real, dx=tg.dt, axis=0, initial=0.0) + 1j * cumulative_simpson(
+        shifted.imag, dx=tg.dt, axis=0, initial=0.0
+    )
+    return prefactor * np.conj(phase) * inner
+
+
+def duhamel_J_reference(v1, v2, v3):
+    """The cubic operator as a chain of two pairwise FFT convolutions."""
+    grid = v1.grid
+    d3 = 1j * grid.xis * np.conj(v3.frames[:, ::-1])
+    prod = _conv_window_reference(_conv_window_reference(v1.frames, d3, grid), v2.frames, grid)
+    return _close_reference(v1, prod, -1j)
+
+
+def duhamel_K_reference(v1, v2, v3, v4, v5):
+    """The quintic operator as a chain of four pairwise FFT convolutions."""
+    grid = v1.grid
+    ab = _conv_window_reference(v1.frames, np.conj(v2.frames[:, ::-1]), grid)
+    cd = _conv_window_reference(v3.frames, np.conj(v4.frames[:, ::-1]), grid)
+    prod = _conv_window_reference(_conv_window_reference(ab, cd, grid), v5.frames, grid)
+    return _close_reference(v1, prod, -0.5)
+
+
+def test_operators_match_pairwise_convolution_reference():
+    grid, phi, tg = coarse_setup(steps=16)
+    v = free_frames(phi, tg)
+    w = free_frames(SpectralFunction(grid, np.roll(phi.values, 3)), tg)
+    pairs = [
+        (duhamel_J(v, w, v), duhamel_J_reference(v, w, v)),
+        (duhamel_J(w, v, w), duhamel_J_reference(w, v, w)),
+        (duhamel_K(v, w, v, v, w), duhamel_K_reference(v, w, v, v, w)),
+        (duhamel_K(w, v, v, w, v), duhamel_K_reference(w, v, v, w, v)),
+    ]
+    for got, want in pairs:
+        assert np.linalg.norm(got.frames - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_shared_transforms_give_the_bits_of_fresh_ones():
+    grid, phi, tg = coarse_setup(steps=16)
+    v, u = free_frames(phi, tg), free_frames(phi, tg)
+    level1 = series_levels(phi, tg, 1)[1]
+    assert np.array_equal(level1.frames, (duhamel_K(v, v, v, v, v) + duhamel_J(v, v, v)).frames)
+    assert np.array_equal(duhamel_K(v, u, v, u, v).frames, duhamel_K(v, v, v, v, v).frames)
+    assert np.array_equal(duhamel_J(v, u, u).frames, duhamel_J(v, v, v).frames)
 
 
 def cubic_oracle(phi, t):
