@@ -296,7 +296,7 @@ def _cmd_norms(args) -> dict:
     params = _params_from(args)
     ppb = args.points_per_block or 64
     grid = spectrum.default_grid(params, generations=0, points_per_block=ppb)
-    phi = spectrum.make_phi(params, grid)
+    phi = spectrum.make_phi(params, grid, min_points_per_block=ppb)
     return spectrum.norm_report(phi, params.s).as_dict()
 
 

@@ -136,9 +136,9 @@ def generation_setup(
     time_steps: int | None,
 ):
     """(grid, TimeGrid, phi) for evaluating Picard generations up to
-    `generations` (the grid is at least generation-1 wide) on [0, t_max];
-    without `time_steps` the step count follows TimeGrid.for_extent."""
-    grid = default_grid(params, generations=max(generations, 1), points_per_block=points_per_block)
+    `generations` on [0, t_max]; without `time_steps` the step count
+    follows TimeGrid.for_extent."""
+    grid = default_grid(params, generations=generations, points_per_block=points_per_block)
     if time_steps is None:
         tg = TimeGrid.for_extent(t_max, grid.xi_max)
     else:
@@ -283,10 +283,7 @@ def verify_lemma210(
         raise ConfigurationError(f"need N >= 16 * support radius ({radius})")
     if fl_norm(psi_pert, 1) > 8 * R * A:
         raise ConfigurationError("perturbation too large: FL1 above 8 R A")
-    # perturbed data reach further in frequency than the two-block datum
-    # (slots near 0 stop the alternating sum from cancelling), so take the
-    # grid one generation wider than the level being checked
-    grid, tg, phi = generation_setup(params, j + 1, params.T, points_per_block, time_steps)
+    grid, tg, phi = generation_setup(params, j, params.T, points_per_block, time_steps)
     psi_res = resample(psi_pert, grid)
     perturbed = SpectralFunction(grid, phi.values + psi_res.values)
     base = xi_level(j, phi, tg)

@@ -276,10 +276,7 @@ def run_experiment(
     for N in sorted(N_sweep):
         params = choose_params(s, N, delta)
         conditions = check_conditions(params, n, margin=margin)
-        # a perturbation near xi = 0 stops the alternating frequency sums from
-        # cancelling, so the iterates reach one generation further than phi alone
-        reach = j_max if psi is None else j_max + 1
-        grid = default_grid(params, generations=reach, points_per_block=points_per_block)
+        grid = default_grid(params, generations=j_max, points_per_block=points_per_block)
         phi = make_phi(params, grid, min_points_per_block=points_per_block)
         if psi is None:
             v0 = phi

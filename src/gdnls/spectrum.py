@@ -204,21 +204,21 @@ def norm_report(f: SpectralFunction, s: float) -> NormReport:
     )
 
 
-# Frequency reach of tree outputs by generation: generation-0 data live below
-# 3N + A/2; one Duhamel application reaches 5N, two reach 15N (alternating
-# Minkowski sums of the previous supports).  Beyond that, fall back to the
-# leaf-count bound 3 * (4g + 1) * N: a generation-g tree has at most 4g + 1
-# leaves, each contributing at most ~3N.
-_GEN_REACH = {0: 3.0, 1: 5.0, 2: 15.0}
-
-
 def default_grid(
     params: ParameterSet,
     generations: int = 1,
     points_per_block: int = 64,
     extra_blocks: float = 32.0,
 ) -> FrequencyGrid:
-    """Symmetric grid wide enough for Picard iterates up to `generations`."""
-    coef = _GEN_REACH.get(generations, 3.0 * (4 * generations + 1))
-    xi_max = coef * params.N + extra_blocks * params.A
+    """Symmetric grid wide enough for the Picard level `generations` and
+    every level below it.
+
+    Covers any datum whose spectrum lies in [0, 3N]: the two-block phi alone
+    or phi plus a perturbation near xi = 0.  The quintic term combines its
+    operands' supports with signs + - + - + and the cubic one with + + -, so
+    level g lies in [-6g, 3 + 6g] N and xi_max = (3 + 6g) N plus
+    `extra_blocks` widths A, which cover phi's half blocks and the
+    perturbation's radius.
+    """
+    xi_max = (3 + 6 * generations) * params.N + extra_blocks * params.A
     return FrequencyGrid.symmetric(xi_max, params.A / points_per_block)

@@ -5,11 +5,15 @@ that breaks it would otherwise only show when the benchmark runs."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
+from gdnls import estimates
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 # (layer, function) -> the parameter its hook reads
 HOOK_PARAMETERS = {
@@ -44,3 +48,20 @@ def test_hooked_functions_keep_their_parameters(layers):
         assert layers[layer][name] is not None, f"{layer}.{name} has no hook"
         fn = getattr(importlib.import_module(f"gdnls.{layer}"), name)
         assert param in inspect.signature(fn).parameters, f"gdnls.{layer}.{name}({param})"
+
+
+def test_gen2_frame_shape_matches_iterate_grid(tmp_path, monkeypatch):
+    """The estimates-gen2 workload predicts the shape of the frames that
+    `gdnls iterate --k 1 --p 1` writes; it must follow any change to how
+    generation_setup sizes the generation-2 grid."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    inp = module._gen2_prepare(tmp_path)
+    params = inp["params"]
+    grid, tg, _ = estimates.generation_setup(
+        params, 2, params.T, module.GEN2_POINTS_PER_BLOCK, module.GEN2_TIME_STEPS
+    )
+    assert inp["shape"] == (tg.steps + 1, grid.count)

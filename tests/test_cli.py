@@ -81,6 +81,15 @@ def test_norms_csv_format(capsys):
     assert len(lines) == 2
 
 
+def test_norms_accepts_points_per_block_other_subcommands_accept(capsys):
+    code, out, err = run(
+        capsys, "norms", "--N", "256", "--A", "16", "--R", "4", "--s", "-1",
+        "--points-per-block", "16",
+    )
+    assert code == 0, err
+    assert json.loads(out)["fl_inf"] == 4.0
+
+
 def test_output_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -20,7 +20,14 @@ from gdnls.picard import (
     xi_generation,
     xi_level,
 )
-from gdnls.spectrum import FrequencyGrid, ParameterSet, SpectralFunction, default_grid, make_phi
+from gdnls.spectrum import (
+    FrequencyGrid,
+    ParameterSet,
+    SpectralFunction,
+    default_grid,
+    make_phi,
+    smooth_bump,
+)
 from gdnls.trees import LEAF, Tree, enumerate_trees
 
 # coarse configuration: small enough for the direct-sum oracles
@@ -334,6 +341,26 @@ def test_recursion_matches_tree_oracle():
         want = reduce(operator.add, oracles).frames
         got = xi_level(j, phi, tg, cap=2).frames
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_perturbed_levels_fit_the_default_grid(j):
+    """phi plus a bump at xi = 0 reaches (3 + 6j) N at level j.  On the
+    default grid no level is clipped, and every level matches, on the shared
+    points, the one computed on a grid of the leaf-count width 3 (4j + 1) N."""
+    tg = TimeGrid(t_max=P.T, steps=8)
+
+    def levels(grid):
+        phi = make_phi(P, grid, min_points_per_block=8)
+        bump = smooth_bump(grid, P.A / 2, P.s)
+        return series_levels(SpectralFunction(grid, phi.values + bump.values), tg, j)
+
+    grid = default_grid(P, generations=j, points_per_block=8)
+    wide = FrequencyGrid.symmetric(3 * (4 * j + 1) * P.N + 32 * P.A, grid.delta_xi)
+    offset = (wide.count - grid.count) // 2
+    for got, want in zip(levels(grid), levels(wide)):
+        shared = want.frames[:, offset : offset + grid.count]
+        assert np.max(np.abs(got.frames - shared)) <= 1e-12 * np.max(np.abs(want.frames))
 
 
 def test_series_sum_converges_at_small_amplitude():

@@ -18,6 +18,7 @@ from gdnls.spectrum import (
     smooth_bump,
     sobolev_norm,
 )
+from gdnls.trees import compositions
 
 PARAMS = ParameterSet(s=-1.0, N=256.0, A=16.0, R=4.0, T=1e-6)
 
@@ -150,3 +151,34 @@ def test_default_grid_covers_generations():
     assert g2.xi_max >= 15 * PARAMS.N
     for g in (g0, g1, g2):
         assert g.is_symmetric
+
+
+def _level_hulls(lo, hi, g_max):
+    """Interval hulls (units of N) of levels 0..g_max of the series recursion
+    for a datum supported in [lo, hi]: quintic slots enter with signs
+    + - + - +, cubic ones with + + -."""
+    hulls = [(lo, hi)]
+    for j in range(1, g_max + 1):
+        ends = [
+            (
+                sum(hulls[i][0] if sign > 0 else -hulls[i][1] for i, sign in zip(c, signs)),
+                sum(hulls[i][1] if sign > 0 else -hulls[i][0] for i, sign in zip(c, signs)),
+            )
+            for signs in ((1, -1, 1, -1, 1), (1, 1, -1))
+            for c in compositions(j - 1, len(signs))
+        ]
+        hulls.append((min(e[0] for e in ends), max(e[1] for e in ends)))
+    return hulls
+
+
+def test_default_grid_width_is_the_level_hull():
+    perturbed = _level_hulls(0, 3, 4)
+    assert perturbed == [(-6 * g, 3 + 6 * g) for g in range(5)]
+    alone = _level_hulls(2, 3, 4)
+    margin = 32 * PARAMS.A
+    for g in range(5):
+        grid = default_grid(PARAMS, generations=g)
+        reach = max(-perturbed[g][0], perturbed[g][1], -alone[g][0], alone[g][1])
+        assert grid.xi_max >= reach * PARAMS.N + margin
+        # no wider than the hull plus the margin and one grid spacing
+        assert grid.xi_max < reach * PARAMS.N + margin + grid.delta_xi
