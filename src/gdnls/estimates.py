@@ -134,11 +134,12 @@ def generation_setup(
     t_max: float,
     points_per_block: int,
     time_steps: int | None,
+    psi_radius: float = 0.0,
 ):
-    """(grid, TimeGrid, phi) for evaluating Picard generations up to
-    `generations` on [0, t_max]; without `time_steps` the step count
-    follows TimeGrid.for_extent."""
-    grid = default_grid(params, generations=generations, points_per_block=points_per_block)
+    """(grid, TimeGrid, phi) for Picard generations up to `generations` of
+    phi plus a perturbation within psi_radius of 0, on [0, t_max]; without
+    `time_steps` the step count follows TimeGrid.for_extent."""
+    grid = default_grid(params, generations, points_per_block, psi_radius=psi_radius)
     if time_steps is None:
         tg = TimeGrid.for_extent(t_max, grid.xi_max)
     else:
@@ -283,7 +284,7 @@ def verify_lemma210(
         raise ConfigurationError(f"need N >= 16 * support radius ({radius})")
     if fl_norm(psi_pert, 1) > 8 * R * A:
         raise ConfigurationError("perturbation too large: FL1 above 8 R A")
-    grid, tg, phi = generation_setup(params, j, params.T, points_per_block, time_steps)
+    grid, tg, phi = generation_setup(params, j, params.T, points_per_block, time_steps, radius)
     psi_res = resample(psi_pert, grid)
     perturbed = SpectralFunction(grid, phi.values + psi_res.values)
     base = xi_level(j, phi, tg)

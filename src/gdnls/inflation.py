@@ -272,11 +272,12 @@ def run_experiment(
         raise ConfigurationError(f"unknown method {method!r}")
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1 (got {j_max}): the decomposition uses level 1")
+    radius = 0.0 if psi is None else float(np.max(np.abs(psi.grid.xis[psi.values != 0]), initial=0))
     results = []
     for N in sorted(N_sweep):
         params = choose_params(s, N, delta)
         conditions = check_conditions(params, n, margin=margin)
-        grid = default_grid(params, generations=j_max, points_per_block=points_per_block)
+        grid = default_grid(params, j_max, points_per_block, psi_radius=radius)
         phi = make_phi(params, grid, min_points_per_block=points_per_block)
         if psi is None:
             v0 = phi

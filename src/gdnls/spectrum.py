@@ -209,16 +209,17 @@ def default_grid(
     generations: int = 1,
     points_per_block: int = 64,
     extra_blocks: float = 32.0,
+    psi_radius: float = 0.0,
 ) -> FrequencyGrid:
     """Symmetric grid wide enough for the Picard level `generations` and
-    every level below it.
+    every level below it, for phi plus a perturbation within psi_radius of 0.
 
-    Covers any datum whose spectrum lies in [0, 3N]: the two-block phi alone
-    or phi plus a perturbation near xi = 0.  The quintic term combines its
-    operands' supports with signs + - + - + and the cubic one with + + -, so
-    level g lies in [-6g, 3 + 6g] N and xi_max = (3 + 6g) N plus
-    `extra_blocks` widths A, which cover phi's half blocks and the
-    perturbation's radius.
+    K combines its operands' supports with signs + - + - + and J with + + -,
+    so a datum in [lo, hi], lo + hi >= 0, reaches hi + 2g (hi - lo) at level
+    g; here lo = -psi_radius and hi = max(3N, psi_radius) (psi_radius = 0
+    covers any datum in [0, 3N]).  The `extra_blocks` widths A beyond that
+    cover phi's half blocks, (2g + 1) A / 2 at level g.
     """
-    xi_max = (3 + 6 * generations) * params.N + extra_blocks * params.A
-    return FrequencyGrid.symmetric(xi_max, params.A / points_per_block)
+    hi = max(3 * params.N, psi_radius)
+    reach = hi + 2 * generations * (hi + psi_radius)
+    return FrequencyGrid.symmetric(reach + extra_blocks * params.A, params.A / points_per_block)

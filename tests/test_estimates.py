@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gdnls import estimates
 from gdnls.errors import ConfigurationError
 from gdnls.estimates import (
     BoxSpec,
@@ -153,6 +154,21 @@ def test_lemma210_bounded():
     rep = verify_lemma210(P, bump, 1, points_per_block=16, time_steps=32)
     assert rep.passed
     assert 0 < rep.ratios["l2_difference"] < 100
+
+
+def test_lemma210_sizes_the_grid_for_the_perturbation(monkeypatch):
+    radii = []
+    real = estimates.default_grid
+
+    def spy(*args, psi_radius, **kwargs):
+        radii.append(psi_radius)
+        return real(*args, psi_radius=psi_radius, **kwargs)
+
+    monkeypatch.setattr(estimates, "default_grid", spy)
+    grid = default_grid(P, generations=1, points_per_block=16)
+    bump = default_perturbation(grid, P.s)
+    verify_lemma210(P, bump, 1, points_per_block=16, time_steps=4)
+    assert radii == [np.max(np.abs(grid.xis[bump.values != 0]))]
 
 
 def test_lemma210_preconditions():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gdnls import inflation
 from gdnls.errors import ConfigurationError
 from gdnls.inflation import (
     check_conditions,
@@ -141,6 +142,25 @@ def test_run_experiment_with_perturbation():
     # the gap is ||phi|| alone, while the final norm includes psi's evolution
     assert r.norm_final > 0.5  # psi has unit H^s norm
     assert r.norm_initial_gap < 0.2
+
+
+def test_run_experiment_sizes_the_grid_for_the_perturbation(monkeypatch):
+    """The grid covers the levels of phi + psi: default_grid gets psi's
+    support radius, and 0 without psi."""
+    radii = []
+    real = inflation.default_grid
+
+    def spy(*args, psi_radius, **kwargs):
+        radii.append(psi_radius)
+        return real(*args, psi_radius=psi_radius, **kwargs)
+
+    monkeypatch.setattr(inflation, "default_grid", spy)
+    grid = FrequencyGrid.symmetric(16.0, 0.125)
+    psi = default_perturbation(grid, -1.0)
+    for p in (psi, None):
+        run_experiment(-1.0, p, [512.0], delta=1.0, margin=4.0, points_per_block=8,
+                       j_max=1, time_steps=4)
+    assert radii == [np.max(np.abs(grid.xis[psi.values != 0])), 0.0]
 
 
 def test_run_experiment_condition_failures_are_warnings():

@@ -7,6 +7,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.signal import fftconvolve
 
 from gdnls.errors import AccuracyError, ConfigurationError, ResourceError
+from gdnls.inflation import DEFAULT_BUMP_RADIUS, choose_params
 from gdnls.picard import (
     SpaceTimeFunction,
     TimeGrid,
@@ -345,22 +346,31 @@ def test_recursion_matches_tree_oracle():
 
 @pytest.mark.parametrize("j", [2, 3])
 def test_perturbed_levels_fit_the_default_grid(j):
-    """phi plus a bump at xi = 0 reaches (3 + 6j) N at level j.  On the
-    default grid no level is clipped, and every level matches, on the shared
-    points, the one computed on a grid of the leaf-count width 3 (4j + 1) N."""
-    tg = TimeGrid(t_max=P.T, steps=8)
+    """phi plus the radius-8 bump at the case-1 block width A = N^0.02
+    (delta = 0.1), where the bump's 2 j r reach past phi's hull by level j
+    is more than the 32 A margin holds.  On the default grid no level is
+    clipped, and every level matches, on the shared points, the one computed
+    on a grid of the leaf-count width 3 (4j + 1) N."""
+    params = choose_params(-1.0, 16.0, 0.1)
+    radius = DEFAULT_BUMP_RADIUS
+    tg = TimeGrid(t_max=params.T, steps=8)
 
     def levels(grid):
-        phi = make_phi(P, grid, min_points_per_block=8)
-        bump = smooth_bump(grid, P.A / 2, P.s)
+        phi = make_phi(params, grid, min_points_per_block=8)
+        bump = smooth_bump(grid, radius, params.s)
         return series_levels(SpectralFunction(grid, phi.values + bump.values), tg, j)
 
-    grid = default_grid(P, generations=j, points_per_block=8)
-    wide = FrequencyGrid.symmetric(3 * (4 * j + 1) * P.N + 32 * P.A, grid.delta_xi)
+    grid = default_grid(params, generations=j, points_per_block=8, psi_radius=radius)
+    wide = FrequencyGrid.symmetric(3 * (4 * j + 1) * params.N + 32 * params.A, grid.delta_xi)
     offset = (wide.count - grid.count) // 2
+    # the default grid's edge test reads the two outermost cells at each end
+    outside = np.abs(wide.xis) > grid.xi_max - 2 * grid.delta_xi
     for got, want in zip(levels(grid), levels(wide)):
+        peak = np.max(np.abs(want.frames))
         shared = want.frames[:, offset : offset + grid.count]
-        assert np.max(np.abs(got.frames - shared)) <= 1e-12 * np.max(np.abs(want.frames))
+        assert np.max(np.abs(got.frames - shared)) <= 1e-12 * peak
+        # on the wide grid nothing but round-off lies there or beyond
+        assert np.max(np.abs(want.frames[:, outside])) <= 1e-14 * peak
 
 
 def test_series_sum_converges_at_small_amplitude():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from gdnls.errors import ConfigurationError
+from gdnls.inflation import choose_params
 from gdnls.spectrum import (
     FrequencyGrid,
     ParameterSet,
@@ -182,3 +183,17 @@ def test_default_grid_width_is_the_level_hull():
         assert grid.xi_max >= reach * PARAMS.N + margin
         # no wider than the hull plus the margin and one grid spacing
         assert grid.xi_max < reach * PARAMS.N + margin + grid.delta_xi
+
+
+@pytest.mark.parametrize("N", [1024.0, 2.0])
+def test_default_grid_covers_the_perturbed_level_hull(N):
+    """phi plus a bump of radius 8 at the case-1 block width A = N^0.02
+    (delta = 0.1): the datum lies in [-r, max(3N + A/2, r)], and its level
+    hulls must clear the edge test's two outermost cells at each end.  At
+    N = 2 the bump reaches past phi's blocks."""
+    r = 8.0
+    params = choose_params(-1.0, N, 0.1)
+    hulls = _level_hulls(-r / N, max(3 + params.A / (2 * N), r / N), 4)
+    for g, (lo, hi) in enumerate(hulls):
+        grid = default_grid(params, generations=g, psi_radius=r)
+        assert max(-lo, hi) * N + 2 * grid.delta_xi < grid.xi_max
