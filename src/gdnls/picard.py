@@ -15,14 +15,22 @@ f_hat = int f exp(-i x xi) dx):
 Continuous convolutions are approximated by delta_xi-weighted discrete
 convolutions.  A Duhamel product is one multi-operand product of transforms:
 each frame row is stored circularly (xi = 0 at index 0, negative xi at the
-end) and zero-padded to P = next_fast_len(6 half + 3) points, where
-half = (count - 1) // 2.  A 5-fold product of rows supported on |index| <= half
-reaches |index| <= 5 half, so at this length the circular wraparound never
-lands on the kept window or its two outermost cells.  In this layout the
-transform of conj(v(-xi)) is conj(F[v]), so conjugate slots need no transform
-of their own.  The edge test runs on the final product only: mass outside the
-kept window, or in its two outermost cells at either end, above CLIP_TOL of
-the peak triggers an accuracy error.
+end) and zero-padded to a length P chosen per term from its operands'
+support.  Each operand's nonzero extent over all its frames is read as signed
+index offsets [lo, hi] from xi = 0; a conjugate or derivative slot reflects
+it to [-hi, -lo].  The Minkowski sum of the slot extents is the hull of the
+linear product, and P = next_fast_len of the span of (hull U kept window
+[-half, half]), half = (count - 1) // 2.  At that length every offset of the
+span has its own residue mod P, so nothing wraps onto the kept window and the
+mass beyond it stays where the edge test reads it.  The span is capped at
+6 half + 3, which only a quintic term with several wide operands
+exceeds: a 5-fold product of rows on |index| <= half reaches |index| <=
+5 half, and at length 6 half + 3 its wraparound lands beyond the kept window
+and its two outermost cells.  In this layout the transform of
+conj(v(-xi)) is conj(F[v]), so conjugate slots need no transform of their
+own.  The edge test runs on the final product only: mass outside the kept
+window, or in its two outermost cells at either end, above CLIP_TOL of the
+peak triggers an accuracy error.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import cumulative_simpson
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
 from .spectrum import FrequencyGrid, SpectralFunction, sobolev_norm
@@ -143,48 +150,79 @@ def _conj_reflect(frames: np.ndarray) -> np.ndarray:
     return np.conj(frames[..., ::-1])
 
 
-def _padded_len(grid: FrequencyGrid) -> int:
-    """FFT length of the circular layout; fixed per grid so that every
-    product on it takes the same transforms."""
-    return next_fast_len(6 * ((grid.count - 1) // 2) + 3)
+def _extent(frames: np.ndarray, half: int) -> tuple[int, int]:
+    """Signed index offsets from xi = 0 of the outermost columns that are
+    nonzero in some frame; (0, 0) when every frame is zero."""
+    nonzero = np.flatnonzero(np.any(frames, axis=0))
+    if nonzero.size == 0:
+        return 0, 0
+    return int(nonzero[0]) - half, int(nonzero[-1]) - half
 
 
-def _duhamel_close(
-    tg: TimeGrid, phase: np.ndarray, integrand: np.ndarray, prefactor: complex
-) -> np.ndarray:
-    """Apply phase = exp(i t' xi^2) inside, cumulative Simpson in t', and the
-    outer free propagator exp(-i t xi^2); overwrites integrand."""
-    integrand *= phase
-    # cumulative_simpson only handles real data
-    inner = cumulative_simpson(
-        integrand.real, dx=tg.dt, axis=0, initial=0.0
-    ) + 1j * cumulative_simpson(integrand.imag, dx=tg.dt, axis=0, initial=0.0)
-    inner *= np.conj(phase)
-    inner *= prefactor
-    return inner
+# sign of each slot's frequency in the output: S1 + S2 - S3 (J), S1 - S2 + S3 - S4 + S5 (K)
+_SLOT_SIGNS = {3: (1, 1, -1), 5: (1, -1, 1, -1, 1)}
+
+
+def _transform_len(term, extents: dict, half: int) -> int:
+    """FFT length of one term: next_fast_len of the span of (product hull U
+    kept window), capped at 6 half + 3 (see the module docstring)."""
+    lo = hi = 0
+    for sign, v in zip(_SLOT_SIGNS[len(term)], term):
+        a, b = extents[id(v)]
+        lo, hi = (lo + a, hi + b) if sign > 0 else (lo - b, hi - a)
+    span = max(hi, half) - min(lo, -half) + 1
+    return next_fast_len(min(span, 6 * half + 3))
+
+
+def _cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative composite Simpson along axis 0 of a stack of an odd number
+    of uniformly spaced nodes, in place; node 0 becomes 0.
+
+    The pairing is scipy's cumulative_simpson: interval 2m takes the parabola
+    through nodes 2m, 2m+1, 2m+2 with weights (5, 8, -1) dt/12, interval
+    2m+1 the same parabola with weights (-1, 8, 5) dt/12.
+    """
+    left, mid, right = y[:-1:2], y[1::2], y[2::2]
+    second = 8 * mid
+    first = 5 * left
+    first += second
+    first -= right
+    second += 5 * right
+    second -= left
+    mid[...] = first
+    right[...] = second
+    y[0] = 0.0
+    y *= dt / 12
+    return np.cumsum(y, axis=0, out=y)
 
 
 def _accumulate(terms) -> SpaceTimeFunction:
     """Sum of the Duhamel products of a nonempty list of operand tuples, added
     in order: three operands give duhamel_J, five give duhamel_K.
 
-    One time node at a time, each distinct operand (by identity) is
-    transformed once and shared by every term, and each term takes one
-    inverse transform.  Each term is closed in time before it is added, so a
+    Each term takes the transform length of its own operands' support (see
+    the module docstring).  One time node at a time, each distinct operand
+    (by identity) is transformed once per (length, derivative slot) and
+    shared by every term that takes it at that length, and each term takes
+    one inverse transform.  A term's bits thus depend only on its own
+    operands, and each term is closed in time before it is added, so a
     multi-term call gives the bits of the sum of single-term calls.
     """
     operands = [v for term in terms for v in term]
     _check_compatible(*operands)
     tg, grid = operands[0].time_grid, operands[0].grid
-    half, size = (grid.count - 1) // 2, _padded_len(grid)
+    half = (grid.count - 1) // 2
+    extents = {id(v): _extent(v.frames, half) for v in operands}
+    sizes = [_transform_len(term, extents, half) for term in terms]
+    rows = {size: np.zeros(size, dtype=np.complex128) for size in sizes}
     ixi = 1j * grid.xis
-    row = np.zeros(size, dtype=np.complex128)
 
-    def spectrum(v: SpaceTimeFunction, derivative: bool = False) -> np.ndarray:
+    def spectrum(v: SpaceTimeFunction, size: int, derivative: bool = False) -> np.ndarray:
         """Transform of v, or of F[d/dx conj(v)] = i xi conj(v(-xi)), at node i."""
-        key = (id(v), derivative)
+        key = (id(v), derivative, size)
         if key not in spectra:
             values = ixi * _conj_reflect(v.frames[i]) if derivative else v.frames[i]
+            row = rows[size]
             row[: half + 1] = values[half:]
             row[size - half :] = values[:half]
             spectra[key] = fft(row)
@@ -194,15 +232,15 @@ def _accumulate(terms) -> SpaceTimeFunction:
     peaks, edges = np.zeros(len(terms)), np.zeros(len(terms))
     for i in range(tg.steps + 1):
         spectra = {}
-        for n, term in enumerate(terms):
+        for n, (term, size) in enumerate(zip(terms, sizes)):
             if len(term) == 3:
                 v1, v2, v3 = term
-                prod = spectrum(v1) * spectrum(v2) * spectrum(v3, derivative=True)
+                prod = spectrum(v1, size) * spectrum(v2, size) * spectrum(v3, size, derivative=True)
             else:
                 v1, v2, v3, v4, v5 = term
-                prod = spectrum(v1) * np.conj(spectrum(v2)) * spectrum(v3)
-                prod *= np.conj(spectrum(v4))
-                prod *= spectrum(v5)
+                prod = spectrum(v1, size) * np.conj(spectrum(v2, size)) * spectrum(v3, size)
+                prod *= np.conj(spectrum(v4, size))
+                prod *= spectrum(v5, size)
             full = ifft(prod, overwrite_x=True)
             mags = np.abs(full)
             peaks[n] = max(peaks[n], mags.max())
@@ -218,13 +256,19 @@ def _accumulate(terms) -> SpaceTimeFunction:
             f"(relative edge mass {ratio:.2e} > {CLIP_TOL:.1e}); widen the grid"
         )
 
+    # each term: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt'
     phase = np.exp(1j * np.outer(tg.times, grid.xis**2))
+    for product in products:
+        product *= phase
+        _cumulative_simpson(product, tg.dt)
+    outer = np.conjugate(phase, out=phase)
     weight = grid.delta_xi / (2 * np.pi)
     total = np.zeros_like(products[0])
     for term, product in zip(terms, products):
+        product *= outer
         # the convolution weight weight^(arity - 1) rides on the prefactor
-        prefactor = -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
-        total += _duhamel_close(tg, phase, product, prefactor)
+        product *= -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
+        total += product
     return SpaceTimeFunction(tg, grid, total)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import AccuracyError, ConfigurationError
 from .spectrum import FrequencyGrid, SpectralFunction
@@ -125,7 +124,9 @@ class PhysicalState:
 
 
 def _left_anchored_phase(samples: np.ndarray, dx: float) -> np.ndarray:
-    return cumulative_trapezoid(np.abs(samples) ** 2, dx=dx, initial=0.0)
+    """Cumulative trapezoid of |samples|^2 from the left edge, 0 at x_0."""
+    density = np.abs(samples) ** 2
+    return np.concatenate(([0.0], np.cumsum(dx * (density[1:] + density[:-1]) / 2.0)))
 
 
 def _check_left_decay(state: PhysicalState) -> None:

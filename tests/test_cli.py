@@ -194,6 +194,15 @@ def test_cli_import_leaves_out_scipy_signal():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gdnls.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_iterate_and_frames_output(capsys, tmp_path):
     frames_path = tmp_path / "out.niqk1"
     code, out, _ = run(

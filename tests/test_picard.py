@@ -3,9 +3,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.integrate import cumulative_simpson
 from scipy.signal import fftconvolve
 
+import gdnls.picard as picard
 from gdnls.errors import AccuracyError, ConfigurationError, ResourceError
 from gdnls.inflation import DEFAULT_BUMP_RADIUS, choose_params
 from gdnls.picard import (
@@ -225,6 +227,93 @@ def test_shared_transforms_give_the_bits_of_fresh_ones():
     assert np.array_equal(duhamel_J(v, u, u).frames, duhamel_J(v, v, v).frames)
 
 
+def _spy_fft_lengths(monkeypatch):
+    """Record the length of every forward transform picard takes."""
+    lengths, fft = [], picard.fft
+
+    def spy(row):
+        lengths.append(len(row))
+        return fft(row)
+
+    monkeypatch.setattr(picard, "fft", spy)
+    return lengths
+
+
+def test_transform_length_from_support(monkeypatch):
+    """phi-only products on the generation-1 grid take next_fast_len of the
+    span of (product hull U kept window), well under 6 half + 3.  With
+    operands that fill the grid a quintic term takes the cap 6 half + 3 and
+    a cubic one its span 6 half + 1."""
+    grid, phi, tg = coarse_setup(steps=4)
+    half = (grid.count - 1) // 2
+    nonzero = np.flatnonzero(phi.values)
+    lo, hi = nonzero[0] - half, nonzero[-1] - half
+    lengths = _spy_fft_lengths(monkeypatch)
+    v = free_frames(phi, tg)
+    # hulls of K (signs + - + - +) and J (+ + -) of phi's support [lo, hi]
+    cases = [
+        (duhamel_K, 5, (3 * lo - 2 * hi, 3 * hi - 2 * lo)),
+        (duhamel_J, 3, (2 * lo - hi, 2 * hi - lo)),
+    ]
+    for op, arity, hull in cases:
+        lengths.clear()
+        op(*[v] * arity)
+        want = next_fast_len(max(hull[1], half) - min(hull[0], -half) + 1)
+        assert set(lengths) == {want}
+        assert want < (6 * half + 3) / 2
+
+    # nonzero everywhere on the grid, but its products carry no mass near the edges
+    gauss = SpectralFunction(grid, np.exp(-((grid.xis / 20.0) ** 2)).astype(np.complex128))
+    assert np.all(gauss.values != 0)
+    w = free_frames(gauss, tg)
+    lengths.clear()
+    duhamel_K(*[w] * 5)
+    assert set(lengths) == {next_fast_len(6 * half + 3)}
+    lengths.clear()
+    duhamel_J(*[w] * 3)
+    assert set(lengths) == {next_fast_len(6 * half + 1)}
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_clipping_detected_far_past_the_window(side):
+    """Blocks near 0 and near one edge: the products keep mass inside the
+    window, and their hull runs past it on one side by more than half the
+    grid.  Nothing of that may wrap back unseen."""
+    grid = FrequencyGrid.symmetric(20.0, 0.25)
+    tg = TimeGrid(t_max=1e-3, steps=4)
+
+    def blocks(sign):
+        xis = sign * grid.xis
+        inside = ((xis >= 0.0) & (xis <= 2.0)) | ((xis >= 17.0) & (xis <= 19.0))
+        return free_frames(SpectralFunction(grid, inside.astype(np.complex128)), tg)
+
+    v, mirror = blocks(side), blocks(-side)
+    # hulls side * [0, 57] (J) and side * [0, 95] (K) against the window [-20, 20]
+    with pytest.raises(AccuracyError):
+        duhamel_J(v, v, mirror)
+    with pytest.raises(AccuracyError):
+        duhamel_K(v, mirror, v, mirror, v)
+
+
+def test_perturbed_level_one_gives_the_bits_of_its_terms(monkeypatch):
+    """phi plus a bump wider than phi's reach, on a grid that holds J's hull
+    but not all of K's.  K reaches past the window only where all five slots
+    lie on the bump with mean |xi| above 0.98 radius, where the product of
+    bump values is below 1e-50 of its peak: nothing is clipped, but K and J
+    take different transform lengths."""
+    radius = 64.0
+    grid = FrequencyGrid.symmetric(4.9 * radius, P.A / 8)
+    phi = make_phi(P, grid, min_points_per_block=8)
+    bump = smooth_bump(grid, radius, P.s)
+    datum = SpectralFunction(grid, phi.values + bump.values)
+    tg = TimeGrid(t_max=P.T, steps=8)
+    v = free_frames(datum, tg)
+    lengths = _spy_fft_lengths(monkeypatch)
+    level1 = series_levels(datum, tg, 1)[1]
+    assert len(set(lengths)) == 2
+    assert np.array_equal(level1.frames, (duhamel_K(v, v, v, v, v) + duhamel_J(v, v, v)).frames)
+
+
 def cubic_oracle(phi, t):
     """Direct lattice sum for J[S phi, S phi, S phi](t): independent of the
     FFT-convolution and Simpson machinery.  Time integral in closed form."""
@@ -296,6 +385,27 @@ def test_simpson_time_convergence_order():
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
     assert min(order1, order2) >= 3.5
+
+
+@pytest.mark.parametrize("steps", [4, 6, 16, 64])
+def test_cumulative_simpson_matches_scipy(steps):
+    """The one complex pass against scipy's cumulative_simpson on the real
+    and imaginary parts, for random stacks and exp(i t xi^2)-modulated
+    frames; it works in place and starts from exactly 0."""
+    rng = np.random.default_rng(steps)
+    tg = TimeGrid(t_max=1e-2, steps=steps)
+    xis = np.linspace(-40.0, 40.0, 201)
+    random = rng.normal(size=(steps + 1, xis.size)) + 1j * rng.normal(size=(steps + 1, xis.size))
+    values = rng.normal(size=xis.size) + 1j * rng.normal(size=xis.size)
+    modulated = np.exp(1j * np.outer(tg.times, xis**2)) * values
+    for stack in (random, modulated):
+        want = cumulative_simpson(stack.real, dx=tg.dt, axis=0, initial=0.0) + 1j * cumulative_simpson(
+            stack.imag, dx=tg.dt, axis=0, initial=0.0
+        )
+        got = picard._cumulative_simpson(stack, tg.dt)
+        assert got is stack
+        assert np.all(stack[0] == 0)
+        assert np.max(np.abs(stack - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_psi_matches_operators_directly():

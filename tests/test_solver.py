@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from gdnls.errors import AccuracyError, ConfigurationError
 from gdnls.solver import (
     PhysicalState,
     TorusConfig,
+    _left_anchored_phase,
     gauge,
     reversed_config,
     solve_dnls,
@@ -225,6 +227,14 @@ def test_spectrum_maps_match_loop_reference(case):
     assert np.array_equal(state.samples, state_from_spectrum_loop(f, cfg))
     back = spectrum_from_state(state, f.grid)
     assert np.array_equal(back.values, spectrum_from_state_loop(state, f.grid))
+
+
+def test_left_anchored_phase_matches_scipy_cumulative_trapezoid():
+    rng = np.random.default_rng(11)
+    samples = rng.normal(size=65536) + 1j * rng.normal(size=65536)
+    dx = L / 65536
+    want = cumulative_trapezoid(np.abs(samples) ** 2, dx=dx, initial=0.0)
+    assert np.array_equal(_left_anchored_phase(samples, dx), want)
 
 
 def test_spectrum_conversion_rejects_off_lattice_grid():
