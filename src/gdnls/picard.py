@@ -13,24 +13,32 @@ f_hat = int f exp(-i x xi) dx):
     F[d/dx conj(f)]  = i xi conj(f_hat(-xi))
 
 Continuous convolutions are approximated by delta_xi-weighted discrete
-convolutions.  A Duhamel product is one multi-operand product of transforms:
-each frame row is stored circularly (xi = 0 at index 0, negative xi at the
-end) and zero-padded to a length P chosen per term from its operands'
-support.  Each operand's nonzero extent over all its frames is read as signed
-index offsets [lo, hi] from xi = 0; a conjugate or derivative slot reflects
-it to [-hi, -lo].  The Minkowski sum of the slot extents is the hull of the
-linear product, and P = next_fast_len of the span of (hull U kept window
-[-half, half]), half = (count - 1) // 2.  At that length every offset of the
-span has its own residue mod P, so nothing wraps onto the kept window and the
-mass beyond it stays where the edge test reads it.  The span is capped at
-6 half + 3, which only a quintic term with several wide operands
-exceeds: a 5-fold product of rows on |index| <= half reaches |index| <=
-5 half, and at length 6 half + 3 its wraparound lands beyond the kept window
-and its two outermost cells.  In this layout the transform of
-conj(v(-xi)) is conj(F[v]), so conjugate slots need no transform of their
-own.  The edge test runs on the final product only: mass outside the kept
-window, or in its two outermost cells at either end, above CLIP_TOL of the
-peak triggers an accuracy error.
+convolutions, taken block by block; offsets count cells from xi = 0 and the
+kept window is [-half, half], half = (count - 1) // 2.
+
+Blocks: an operand's nonzero columns (over all frames), split into maximal
+runs, absorbing each zero gap no longer than the wider of its neighbours.
+Each block is transformed from local index 0 at the term's length L.  A plain
+slot puts local 0 at the block's first offset a.  A conjugate slot reads
+conj(F[block]), which is conj(v(-xi)) with local 0 at -a (the block reflected
+about local 0); J's derivative slot reads conj(F[i xi block]), because
+i xi conj(v(-xi)) = conj(i xi' v(xi')) at xi' = -xi.
+
+Buckets: the slots are folded in one block at a time, partial products keyed
+by the summed offset of their local 0; equal keys are added in the transform
+domain.  Each bucket takes one inverse transform and adds its true support,
+key + [lo, hi], into the term's output, which is exactly zero elsewhere.
+
+Nothing wraps: L = next_fast_len(sum over slots of (widest block - 1) + 1)
+holds any linear convolution of one block per slot.  L is capped at
+6 half + 3, which only slots of grid-wide blocks reach: a 5-fold product of
+rows on |offset| <= half reaches 5 half, and at length 6 half + 3 its
+wraparound lands beyond the kept window and its two outermost cells; such a
+bucket is read at every residue, each at its offset in [-half, L - half).
+
+Edge test: mass at |offset| >= half - 1 above CLIP_TOL of the term's peak,
+both read over the buckets' intervals, raises an AccuracyError naming the
+term and the xi-interval that overflowed.
 """
 
 from __future__ import annotations
@@ -65,6 +73,9 @@ DEFAULT_GENERATION_CAP = 2
 CLIP_TOL = 1e-10
 MIN_TIME_STEPS = 4
 PHASE_OVERSAMPLE = 16.0
+# wide transforms are folded a few time nodes at a time, about this many
+# complex points per stack of rows, so that the products stay in cache
+CHUNK_POINTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -140,38 +151,122 @@ def _check_compatible(*fns: SpaceTimeFunction) -> None:
 
 
 def free_frames(phi: SpectralFunction, tg: TimeGrid) -> SpaceTimeFunction:
-    """Free evolution S(t) phi sampled at every time node."""
-    phase = np.exp(-1j * np.outer(tg.times, phi.grid.xis**2))
-    return SpaceTimeFunction(tg, phi.grid, phase * phi.values[np.newaxis, :])
+    """Free evolution S(t) phi sampled at every time node.  The phase is
+    taken on phi's nonzero columns only; every other column is exactly 0."""
+    columns = np.flatnonzero(phi.values)
+    frames = np.zeros((tg.steps + 1, phi.grid.count), dtype=np.complex128)
+    phase = np.exp(-1j * np.outer(tg.times, phi.grid.xis[columns] ** 2))
+    frames[:, columns] = phase * phi.values[columns]
+    return SpaceTimeFunction(tg, phi.grid, frames)
 
 
-def _conj_reflect(frames: np.ndarray) -> np.ndarray:
-    """F[conj(v)] on a symmetric grid: conjugate and reverse the xi axis."""
-    return np.conj(frames[..., ::-1])
+def _blocks(frames: np.ndarray) -> list[tuple[int, int]]:
+    """Column ranges [start, stop) covering the columns that are nonzero in
+    some frame: the maximal runs, where a zero gap no longer than the wider
+    of its neighbours (the block so far and the next run) is absorbed."""
+    columns = np.flatnonzero(np.any(frames, axis=0))
+    if columns.size == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(columns) > 1)
+    starts = columns[np.r_[0, cuts + 1]].tolist()
+    stops = (columns[np.r_[cuts, columns.size - 1]] + 1).tolist()
+    blocks = [(starts[0], stops[0])]
+    for start, stop in zip(starts[1:], stops[1:]):
+        first, last = blocks[-1]
+        if start - last <= max(last - first, stop - start):
+            blocks[-1] = (first, stop)
+        else:
+            blocks.append((start, stop))
+    return blocks
 
 
-def _extent(frames: np.ndarray, half: int) -> tuple[int, int]:
-    """Signed index offsets from xi = 0 of the outermost columns that are
-    nonzero in some frame; (0, 0) when every frame is zero."""
-    nonzero = np.flatnonzero(np.any(frames, axis=0))
-    if nonzero.size == 0:
-        return 0, 0
-    return int(nonzero[0]) - half, int(nonzero[-1]) - half
+# how each slot enters the product: J = v1 v2 d/dx conj(v3),
+# K = v1 conj(v2) v3 conj(v4) v5
+_SLOT_KINDS = {3: ("plain", "plain", "derivative"), 5: ("plain", "conj", "plain", "conj", "plain")}
 
 
-# sign of each slot's frequency in the output: S1 + S2 - S3 (J), S1 - S2 + S3 - S4 + S5 (K)
-_SLOT_SIGNS = {3: (1, 1, -1), 5: (1, -1, 1, -1, 1)}
+def _fold(slots: list) -> dict:
+    """Block product of one term, as {output offset of local index 0:
+    [transform, lowest, highest local index]}.  The slots are folded in one
+    block at a time, and partial products with equal summed offsets are
+    added in the transform domain."""
+    buckets = {base: [spec, lo, hi] for base, lo, hi, spec in slots[0]}
+    for n, slot in enumerate(slots[1:]):
+        folded = {}
+        for b, (offset, lo_add, hi_add, spec) in enumerate(slot):
+            # from the third slot on, a partial product is ours to overwrite
+            # once the slot's last block has taken it
+            last = n > 0 and b == len(slot) - 1
+            for base, (acc, lo, hi) in buckets.items():
+                prod = np.multiply(acc, spec, out=acc if last else None)
+                entry = folded.get(base + offset)
+                if entry is None:
+                    folded[base + offset] = [prod, lo + lo_add, hi + hi_add]
+                else:
+                    entry[0] += prod
+                    entry[1], entry[2] = min(entry[1], lo + lo_add), max(entry[2], hi + hi_add)
+        buckets = folded
+    return buckets
 
 
-def _transform_len(term, extents: dict, half: int) -> int:
-    """FFT length of one term: next_fast_len of the span of (product hull U
-    kept window), capped at 6 half + 3 (see the module docstring)."""
-    lo = hi = 0
-    for sign, v in zip(_SLOT_SIGNS[len(term)], term):
-        a, b = extents[id(v)]
-        lo, hi = (lo + a, hi + b) if sign > 0 else (lo - b, hi - a)
-    span = max(hi, half) - min(lo, -half) + 1
-    return next_fast_len(min(span, 6 * half + 3))
+class _Readout:
+    """One term's buckets, read out a chunk of time nodes at a time onto the
+    window columns they reach, with each bucket's largest modulus per
+    residue kept for the edge test."""
+
+    def __init__(self, buckets: dict, size: int, half: int, nodes: int):
+        self.half = half
+        self.mags = {base: np.zeros(size) for base in buckets}
+        # per bucket: the residues of its true support and their offsets (a
+        # capped bucket is read at every residue, at its offset in
+        # [-half, size - half)), and the window offsets [first, last] it writes
+        self.cells, reach = {}, {}
+        self.mask = np.zeros(2 * half + 1, dtype=bool)
+        for base, (_, lo, hi) in buckets.items():
+            local = np.arange(lo, lo + min(hi - lo + 1, size))
+            out = base + local
+            if hi - lo >= size:
+                out = (out + half) % size - half
+            self.cells[base] = local % size, out
+            first, last = max(out.min(), -half), min(out.max(), half)
+            if first <= last:
+                reach[base] = first, last
+                self.mask[first + half : last + half + 1] = True
+        position = np.cumsum(self.mask) - 1
+        # per bucket: the first column it writes, and the start and length of
+        # the cyclic run of local indices it reads them from
+        self.reads = {
+            base: (position[first + half], (first - base) % size, last - first + 1)
+            for base, (first, last) in reach.items()
+        }
+        self.values = np.empty((nodes, position[-1] + 1), dtype=np.complex128)
+
+    def add(self, buckets: dict, rows: slice) -> None:
+        """Inverse-transform the buckets of the time nodes `rows` and add them in."""
+        # zeroed here, not at allocation: a first write faults each page in once
+        self.values[rows] = 0
+        for base, (spec, _, _) in buckets.items():
+            full = ifft(spec, axis=-1, overwrite_x=True)
+            np.maximum(self.mags[base], np.abs(full).max(axis=0), out=self.mags[base])
+            if base in self.reads:
+                at, start, count = self.reads[base]
+                head = full[:, start : start + count]
+                self.values[rows, at : at + head.shape[1]] += head
+                self.values[rows, at + head.shape[1] : at + count] += full[:, : count - head.shape[1]]
+
+    def check_edges(self, term, delta_xi: float) -> None:
+        """The edge test of the module docstring."""
+        offsets = np.concatenate([out for _, out in self.cells.values()])
+        peaks = np.concatenate([self.mags[base][residues] for base, (residues, _) in self.cells.items()])
+        peak = peaks.max()
+        far = np.abs(offsets) >= self.half - 1
+        over = offsets[far & (peaks > CLIP_TOL * peak)]
+        if over.size:
+            raise AccuracyError(
+                f"{'J' if len(term) == 3 else 'K'} product clipped at the grid edge: relative mass "
+                f"{peaks[far].max() / peak:.2e} > {CLIP_TOL:.1e} at xi in "
+                f"[{over.min() * delta_xi:.6g}, {over.max() * delta_xi:.6g}]; widen the grid"
+            )
 
 
 def _cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
@@ -200,76 +295,99 @@ def _accumulate(terms) -> SpaceTimeFunction:
     """Sum of the Duhamel products of a nonempty list of operand tuples, added
     in order: three operands give duhamel_J, five give duhamel_K.
 
-    Each term takes the transform length of its own operands' support (see
-    the module docstring).  One time node at a time, each distinct operand
-    (by identity) is transformed once per (length, derivative slot) and
-    shared by every term that takes it at that length, and each term takes
-    one inverse transform.  A term's bits thus depend only on its own
-    operands, and each term is closed in time before it is added, so a
-    multi-term call gives the bits of the sum of single-term calls.
+    Each term is a block product at a length fixed by its own operands'
+    blocks (see the module docstring).  Each distinct operand (by identity)
+    is transformed once per (kind, length) and chunk of time nodes, in one
+    batched transform, and shared by every term that takes it.  A term's
+    bits thus depend only on its own operands, and each term is closed in
+    time before it is added, so a multi-term call gives the bits of the sum
+    of single-term calls.
     """
     operands = [v for term in terms for v in term]
     _check_compatible(*operands)
     tg, grid = operands[0].time_grid, operands[0].grid
     half = (grid.count - 1) // 2
-    extents = {id(v): _extent(v.frames, half) for v in operands}
-    sizes = [_transform_len(term, extents, half) for term in terms]
-    rows = {size: np.zeros(size, dtype=np.complex128) for size in sizes}
+    blocks = {id(v): _blocks(v.frames) for v in operands}
     ixi = 1j * grid.xis
 
-    def spectrum(v: SpaceTimeFunction, size: int, derivative: bool = False) -> np.ndarray:
-        """Transform of v, or of F[d/dx conj(v)] = i xi conj(v(-xi)), at node i."""
-        key = (id(v), derivative, size)
+    def spectrum(v: SpaceTimeFunction, kind: str, size: int, rows: slice) -> np.ndarray:
+        """(blocks, nodes, size) transforms of v's blocks on the time nodes
+        `rows`, each laid out from local index 0; see the module docstring
+        for the conjugate and derivative kinds."""
+        key = (id(v), kind, size)
         if key not in spectra:
-            values = ixi * _conj_reflect(v.frames[i]) if derivative else v.frames[i]
-            row = rows[size]
-            row[: half + 1] = values[half:]
-            row[size - half :] = values[:half]
-            spectra[key] = fft(row)
+            source = (id(v), "plain", size) if kind == "conj" else key
+            if source not in spectra:
+                frames = v.frames[rows]
+                stack = np.zeros((len(blocks[id(v)]), len(frames), size), dtype=np.complex128)
+                for row, (start, stop) in zip(stack, blocks[id(v)]):
+                    row[:, : stop - start] = frames[:, start:stop]
+                    if kind == "derivative":
+                        row[:, : stop - start] *= ixi[start:stop]
+                spec = fft(stack, axis=-1, overwrite_x=True)
+                spectra[source] = np.conj(spec, out=spec) if kind == "derivative" else spec
+            if kind == "conj":
+                spectra[key] = np.conj(spectra[source])
         return spectra[key]
 
-    products = np.empty((len(terms), tg.steps + 1, grid.count), dtype=np.complex128)
-    peaks, edges = np.zeros(len(terms)), np.zeros(len(terms))
-    for i in range(tg.steps + 1):
-        spectra = {}
-        for n, (term, size) in enumerate(zip(terms, sizes)):
-            if len(term) == 3:
-                v1, v2, v3 = term
-                prod = spectrum(v1, size) * spectrum(v2, size) * spectrum(v3, size, derivative=True)
-            else:
-                v1, v2, v3, v4, v5 = term
-                prod = spectrum(v1, size) * np.conj(spectrum(v2, size)) * spectrum(v3, size)
-                prod *= np.conj(spectrum(v4, size))
-                prod *= spectrum(v5, size)
-            full = ifft(prod, overwrite_x=True)
-            mags = np.abs(full)
-            peaks[n] = max(peaks[n], mags.max())
-            # everything outside the kept window plus its two outermost cells
-            edges[n] = max(edges[n], mags[half - 1 : size - half + 2].max())
-            products[n, i, :half] = full[size - half :]
-            products[n, i, half:] = full[: half + 1]
-    clipped = edges > CLIP_TOL * peaks
-    if np.any(clipped):
-        ratio = np.max(edges[clipped] / peaks[clipped])
-        raise AccuracyError(
-            f"product support clipped at the grid edge "
-            f"(relative edge mass {ratio:.2e} > {CLIP_TOL:.1e}); widen the grid"
-        )
+    def slots(term, size: int, rows: slice) -> list:
+        """Per slot, per block: the output offset of its local index 0, the
+        lowest and highest local index it occupies, and its transform."""
+        return [
+            [
+                (start - half, 0, stop - start - 1, spec)
+                if kind == "plain"
+                else (half - start, start + 1 - stop, 0, spec)
+                for (start, stop), spec in zip(blocks[id(v)], spectrum(v, kind, size, rows))
+            ]
+            for v, kind in zip(term, _SLOT_KINDS[len(term)])
+        ]
 
-    # each term: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt'
-    phase = np.exp(1j * np.outer(tg.times, grid.xis**2))
-    for product in products:
+    live = [term for term in terms if all(blocks[id(v)] for v in term)]
+    sizes = [
+        next_fast_len(min(1 + sum(max(b - a - 1 for a, b in blocks[id(v)]) for v in term), 6 * half + 3))
+        for term in live
+    ]
+    chunk = max(1, CHUNK_POINTS // max(sizes, default=1))
+    reads = [None] * len(live)
+    for first in range(0, tg.steps + 1, chunk):
+        rows = slice(first, first + chunk)
+        spectra = {}
+        for n, (term, size) in enumerate(zip(live, sizes)):
+            buckets = _fold(slots(term, size, rows))
+            if reads[n] is None:
+                reads[n] = _Readout(buckets, size, half, tg.steps + 1)
+            reads[n].add(buckets, rows)
+    support = np.zeros(grid.count, dtype=bool)
+    for term, read in zip(live, reads):
+        read.check_edges(term, grid.delta_xi)
+        support |= read.mask
+
+    # each term: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
+    # on the columns some term reaches
+    columns = np.flatnonzero(support)
+    phase = np.exp(1j * np.outer(tg.times, grid.xis[columns] ** 2))
+    inner = []
+    for term, read in zip(live, reads):
+        product = read.values
+        if product.shape != phase.shape:
+            product = np.zeros_like(phase)
+            product[:, read.mask[columns]] = read.values
         product *= phase
-        _cumulative_simpson(product, tg.dt)
+        inner.append((term, _cumulative_simpson(product, tg.dt)))
     outer = np.conjugate(phase, out=phase)
     weight = grid.delta_xi / (2 * np.pi)
-    total = np.zeros_like(products[0])
-    for term, product in zip(terms, products):
+    total = np.zeros_like(outer)
+    for term, product in inner:
         product *= outer
         # the convolution weight weight^(arity - 1) rides on the prefactor
         product *= -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
         total += product
-    return SpaceTimeFunction(tg, grid, total)
+    if columns.size == grid.count:
+        return SpaceTimeFunction(tg, grid, total)
+    frames = np.zeros((tg.steps + 1, grid.count), dtype=np.complex128)
+    frames[:, columns] = total
+    return SpaceTimeFunction(tg, grid, frames)
 
 
 def duhamel_J(

@@ -31,7 +31,7 @@ from gdnls.spectrum import (
     make_phi,
     smooth_bump,
 )
-from gdnls.trees import LEAF, Tree, enumerate_trees
+from gdnls.trees import LEAF, Tree, compositions, enumerate_trees
 
 # coarse configuration: small enough for the direct-sum oracles
 P = ParameterSet(s=-1.0, N=16.0, A=4.0, R=1.0, T=1e-3)
@@ -64,6 +64,14 @@ def test_free_frames_initial_and_modulus():
     frames = free_frames(phi, tg)
     assert np.array_equal(frames.at_index(0).values, phi.values)
     assert np.allclose(np.abs(frames.frames), np.abs(phi.values)[np.newaxis, :])
+
+
+def test_free_frames_are_the_dense_phase_product():
+    """The phase is taken on phi's nonzero columns only, with the bits of the
+    dense product, and every other column stays exactly 0."""
+    grid, phi, tg = coarse_setup()
+    want = np.exp(-1j * np.outer(tg.times, grid.xis**2)) * phi.values
+    assert np.array_equal(free_frames(phi, tg).frames, want)
 
 
 def test_duhamel_vanishes_at_time_zero():
@@ -231,9 +239,9 @@ def _spy_fft_lengths(monkeypatch):
     """Record the length of every forward transform picard takes."""
     lengths, fft = [], picard.fft
 
-    def spy(row):
-        lengths.append(len(row))
-        return fft(row)
+    def spy(x, **kwargs):
+        lengths.append(x.shape[-1])
+        return fft(x, **kwargs)
 
     monkeypatch.setattr(picard, "fft", spy)
     return lengths
@@ -241,24 +249,22 @@ def _spy_fft_lengths(monkeypatch):
 
 def test_transform_length_from_support(monkeypatch):
     """phi-only products on the generation-1 grid take next_fast_len of the
-    span of (product hull U kept window), well under 6 half + 3.  With
-    operands that fill the grid a quintic term takes the cap 6 half + 3 and
-    a cubic one its span 6 half + 1."""
+    length of the linear convolution of one block per slot, the summed block
+    widths less the arity - 1 overlaps, far under 6 half + 3.  With operands
+    that fill the grid a quintic term takes the cap 6 half + 3 and a cubic
+    one its span 6 half + 1."""
     grid, phi, tg = coarse_setup(steps=4)
     half = (grid.count - 1) // 2
     nonzero = np.flatnonzero(phi.values)
-    lo, hi = nonzero[0] - half, nonzero[-1] - half
+    runs = np.split(nonzero, np.flatnonzero(np.diff(nonzero) > 1) + 1)
+    assert len(runs) == 2
+    width = max(len(run) for run in runs)
     lengths = _spy_fft_lengths(monkeypatch)
     v = free_frames(phi, tg)
-    # hulls of K (signs + - + - +) and J (+ + -) of phi's support [lo, hi]
-    cases = [
-        (duhamel_K, 5, (3 * lo - 2 * hi, 3 * hi - 2 * lo)),
-        (duhamel_J, 3, (2 * lo - hi, 2 * hi - lo)),
-    ]
-    for op, arity, hull in cases:
+    for op, arity in ((duhamel_K, 5), (duhamel_J, 3)):
         lengths.clear()
         op(*[v] * arity)
-        want = next_fast_len(max(hull[1], half) - min(hull[0], -half) + 1)
+        want = next_fast_len(arity * (width - 1) + 1)
         assert set(lengths) == {want}
         assert want < (6 * half + 3) / 2
 
@@ -293,6 +299,45 @@ def test_clipping_detected_far_past_the_window(side):
         duhamel_J(v, v, mirror)
     with pytest.raises(AccuracyError):
         duhamel_K(v, mirror, v, mirror, v)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_clipping_error_names_the_overflowing_interval(side):
+    """The data of test_clipping_detected_far_past_the_window: the error names
+    the term and the xi-interval from the window's outermost cells out to the
+    end of the product's hull, side * [0, 57] (J) and side * [0, 95] (K)."""
+    grid = FrequencyGrid.symmetric(20.0, 0.25)
+    tg = TimeGrid(t_max=1e-3, steps=4)
+
+    def blocks(sign):
+        xis = sign * grid.xis
+        inside = ((xis >= 0.0) & (xis <= 2.0)) | ((xis >= 17.0) & (xis <= 19.0))
+        return free_frames(SpectralFunction(grid, inside.astype(np.complex128)), tg)
+
+    v, mirror = blocks(side), blocks(-side)
+    for name, op, operands, reach in (
+        ("J", duhamel_J, (v, v, mirror), 57.0),
+        ("K", duhamel_K, (v, mirror, v, mirror, v), 95.0),
+    ):
+        with pytest.raises(AccuracyError) as error:
+            op(*operands)
+        ends = sorted(side * np.array([grid.xi_max - grid.delta_xi, reach]))
+        assert str(error.value).startswith(f"{name} product clipped")
+        assert f"xi in [{ends[0]:.6g}, {ends[1]:.6g}]" in str(error.value)
+
+
+def test_comb_support_merges_into_few_blocks():
+    """Alternating zero and nonzero columns: every gap is absorbed, so the
+    product runs on at most 2 blocks per slot and matches the pairwise
+    convolution chain."""
+    grid = FrequencyGrid.symmetric(20.0, 0.25)
+    tg = TimeGrid(t_max=1e-3, steps=8)
+    teeth = (np.abs(grid.xis) <= 3.0) & (np.arange(grid.count) % 2 == 0)
+    comb = SpectralFunction(grid, np.where(teeth, np.exp(-grid.xis**2 / 4), 0).astype(np.complex128))
+    w = free_frames(comb, tg)
+    assert len(picard._blocks(w.frames)) <= 2
+    want = duhamel_K_reference(w, w, w, w, w)
+    assert np.linalg.norm(duhamel_K(w, w, w, w, w).frames - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_perturbed_level_one_gives_the_bits_of_its_terms(monkeypatch):
@@ -452,6 +497,60 @@ def test_recursion_matches_tree_oracle():
         want = reduce(operator.add, oracles).frames
         got = xi_level(j, phi, tg, cap=2).frames
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _perturbed_datum(radius=8.0, generations=3):
+    """phi plus a bump of the given radius on the default grid of that
+    generation."""
+    grid = default_grid(P, generations=generations, points_per_block=8, psi_radius=radius)
+    phi = make_phi(P, grid, min_points_per_block=8)
+    return SpectralFunction(grid, phi.values + smooth_bump(grid, radius, P.s).values)
+
+
+def test_level_outputs_vanish_off_their_hulls():
+    """Each level is exactly 0 outside the interval hull of the level
+    recursion (quintic slots + - + - +, cubic + + -), started from the
+    datum's own nonzero cells, so later levels see their true support."""
+    datum = _perturbed_datum()
+    half = (datum.grid.count - 1) // 2
+    nonzero = np.flatnonzero(datum.values) - half
+    hulls = [(nonzero[0], nonzero[-1])]
+    for j in range(1, 4):
+        ends = [
+            (
+                sum(hulls[i][0] if sign > 0 else -hulls[i][1] for i, sign in zip(c, signs)),
+                sum(hulls[i][1] if sign > 0 else -hulls[i][0] for i, sign in zip(c, signs)),
+            )
+            for signs in ((1, -1, 1, -1, 1), (1, 1, -1))
+            for c in compositions(j - 1, len(signs))
+        ]
+        hulls.append((min(e[0] for e in ends), max(e[1] for e in ends)))
+    levels = series_levels(datum, TimeGrid(t_max=P.T, steps=8), 3)
+    for j in range(1, 4):
+        columns = np.flatnonzero(np.any(levels[j].frames, axis=0)) - half
+        lo, hi = hulls[j]
+        assert lo <= columns[0] and columns[-1] <= hi
+        # the hull lies inside the grid, so the check has columns to fail on
+        assert -half < lo and hi < half
+
+
+def test_perturbed_levels_match_a_pairwise_recursion():
+    """Levels 1-3 of phi plus a bump against the same recursion evaluated
+    with the pairwise convolution chains duhamel_K_reference and
+    duhamel_J_reference."""
+    datum = _perturbed_datum()
+    tg = TimeGrid(t_max=P.T, steps=8)
+    got = series_levels(datum, tg, 3)
+    want = [free_frames(datum, tg)]
+    for j in range(1, 4):
+        total = 0
+        for arity, reference in ((5, duhamel_K_reference), (3, duhamel_J_reference)):
+            for c in compositions(j - 1, arity):
+                total = total + reference(*(want[i] for i in c))
+        want.append(SpaceTimeFunction(tg, datum.grid, total))
+    for j in range(1, 4):
+        err = np.linalg.norm(got[j].frames - want[j].frames)
+        assert err <= 1e-13 * np.linalg.norm(want[j].frames)
 
 
 @pytest.mark.parametrize("j", [2, 3])
