@@ -220,13 +220,14 @@ class _Readout:
         # per bucket: the residues of its true support and their offsets (a
         # capped bucket is read at every residue, at its offset in
         # [-half, size - half)), and the window offsets [first, last] it writes
-        self.cells, reach = {}, {}
+        self.cells, self.capped, reach = {}, {}, {}
         self.mask = np.zeros(2 * half + 1, dtype=bool)
         for base, (_, lo, hi) in buckets.items():
             local = np.arange(lo, lo + min(hi - lo + 1, size))
             out = base + local
             if hi - lo >= size:
                 out = (out + half) % size - half
+                self.capped[base] = base + lo, base + hi
             self.cells[base] = local % size, out
             first, last = max(out.min(), -half), min(out.max(), half)
             if first <= last:
@@ -255,17 +256,23 @@ class _Readout:
                 self.values[rows, at + head.shape[1] : at + count] += full[:, : count - head.shape[1]]
 
     def check_edges(self, term, delta_xi: float) -> None:
-        """The edge test of the module docstring."""
-        offsets = np.concatenate([out for _, out in self.cells.values()])
-        peaks = np.concatenate([self.mags[base][residues] for base, (residues, _) in self.cells.items()])
-        peak = peaks.max()
-        far = np.abs(offsets) >= self.half - 1
-        over = offsets[far & (peaks > CLIP_TOL * peak)]
-        if over.size:
+        """The edge test of the module docstring.  The mass of a capped
+        bucket may sit at any alias of its residues, so an overflow there is
+        named by the bucket's true interval."""
+        peaks = {base: self.mags[base][residues] for base, (residues, _) in self.cells.items()}
+        peak = max(p.max() for p in peaks.values())
+        edge, named = 0.0, []
+        for base, (_, out) in self.cells.items():
+            far = np.abs(out) >= self.half - 1
+            over = out[far & (peaks[base] > CLIP_TOL * peak)]
+            if over.size:
+                edge = max(edge, peaks[base][far].max())
+                named += self.capped.get(base, (over.min(), over.max()))
+        if named:
             raise AccuracyError(
                 f"{'J' if len(term) == 3 else 'K'} product clipped at the grid edge: relative mass "
-                f"{peaks[far].max() / peak:.2e} > {CLIP_TOL:.1e} at xi in "
-                f"[{over.min() * delta_xi:.6g}, {over.max() * delta_xi:.6g}]; widen the grid"
+                f"{edge / peak:.2e} > {CLIP_TOL:.1e} at xi in "
+                f"[{min(named) * delta_xi:.6g}, {max(named) * delta_xi:.6g}]; widen the grid"
             )
 
 

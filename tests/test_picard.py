@@ -326,6 +326,17 @@ def test_clipping_error_names_the_overflowing_interval(side):
         assert f"xi in [{ends[0]:.6g}, {ends[1]:.6g}]" in str(error.value)
 
 
+def test_capped_clipping_error_names_the_true_interval():
+    """Ones on the whole grid: K takes the capped length, where its mass past
+    the window may sit at any alias, and is named by its true hull 5 x the
+    grid; J's span fits uncapped and its overflow is read exactly."""
+    grid = FrequencyGrid.symmetric(10.0, 0.25)
+    w = free_frames(SpectralFunction(grid, np.ones(grid.count, dtype=np.complex128)), TimeGrid(1e-3, 4))
+    for op, arity, reach in ((duhamel_K, 5, 50), (duhamel_J, 3, 30)):
+        with pytest.raises(AccuracyError, match=rf"xi in \[-{reach}, {reach}\]"):
+            op(*[w] * arity)
+
+
 def test_comb_support_merges_into_few_blocks():
     """Alternating zero and nonzero columns: every gap is absorbed, so the
     product runs on at most 2 blocks per slot and matches the pairwise
