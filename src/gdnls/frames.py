@@ -97,7 +97,7 @@ def spectral_from_csv(path_or_buf) -> SpectralFunction:
     if bad is not None:
         raise ConfigurationError(f"CSV row {bad} does not have three cells xi,re,im")
     try:
-        data = np.array([[float(c) for c in row] for row in rows[1:]])
+        data = np.array(rows[1:], dtype=np.float64)
     except ValueError as exc:
         raise ConfigurationError(f"non-numeric CSV cell: {exc}") from exc
     if data.shape[0] < 2:

@@ -6,9 +6,12 @@ The equation integrated is
     i v_t + v_xx = -i v^2 d/dx conj(v) - (1/2) |v|^4 v,
 
 rewritten as v_t = i v_xx + G(v) with G(v) = -v^2 d/dx conj(v) + (i/2)|v|^4 v.
-The linear flow is applied exactly through the integrating factor; G is
-evaluated pointwise on a zero-padded physical grid (padding factor >= 3 so
-degree-5 products are alias-free for modes kept below M / dealias_factor).
+The linear flow is applied exactly through the integrating factor.  G reads
+only the kept band |k| <= K = M // dealias_factor and is truncated back to
+it: content above the band evolves by the linear flow alone.  G is evaluated
+pointwise on a zero-padded grid of pad = next_fast_len(6 K + 1) points.  The
+degree-5 product lies in |k| <= 5 K, and a product mode folds onto the kept
+band only if pad <= 6 K, so the kept modes are alias-free.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import AccuracyError, ConfigurationError
 from .spectrum import FrequencyGrid, SpectralFunction
@@ -77,24 +81,28 @@ class TorusConfig:
         return self.e_half**2
 
     @cached_property
+    def pad(self) -> int:
+        """Length of the nonlinearity's transforms: the shortest fast length
+        above 6 * band_limit, so no mode of a degree-5 product of band-limited
+        factors (|k| <= 5 * band_limit) folds onto the kept band."""
+        return scipy.fft.next_fast_len(6 * self.band_limit + 1)
+
+    @cached_property
     def k_pad(self) -> np.ndarray:
-        """Wavenumbers of the zero-padded grid the nonlinearity is evaluated on."""
-        pad = self.dealias_factor * self.modes
-        return 2 * np.pi / self.length * np.fft.fftfreq(pad, d=1.0 / pad)
+        """Wavenumbers of the zero-padded grid of `pad` points that G is
+        evaluated on."""
+        return 2 * np.pi / self.length * np.fft.fftfreq(self.pad, d=1.0 / self.pad)
 
     @property
     def band_limit(self) -> int:
-        """Largest kept mode index; content above it is truncated."""
+        """Largest kept mode index K.  G reads v only on |k| <= K and is
+        truncated to it (the 2/3 rule at the default dealias_factor = 3);
+        content above K evolves by the exact linear flow alone."""
         return self.modes // self.dealias_factor
 
     @property
     def xi_max(self) -> float:
         return 2 * np.pi / self.length * self.band_limit
-
-    @cached_property
-    def band_mask(self) -> np.ndarray:
-        idx = np.fft.fftfreq(self.modes, d=1.0 / self.modes).astype(int)
-        return np.abs(idx) <= self.band_limit
 
     @property
     def dx(self) -> float:
@@ -160,23 +168,33 @@ def ungauge(v: PhysicalState) -> PhysicalState:
 
 
 def _nonlinear_hat(config: TorusConfig, v_hat: np.ndarray) -> np.ndarray:
-    """Spectrum of G(v), dealiased by zero padding and band truncation."""
-    m, factor = config.modes, config.dealias_factor
-    pad = factor * m
-    padded = np.zeros(pad, dtype=np.complex128)
-    padded[: m // 2] = v_hat[: m // 2]
-    padded[-(m // 2) :] = v_hat[-(m // 2) :]
-    scale = pad / m
-    v_phys = np.fft.ifft(padded) * scale
-    vx_phys = np.fft.ifft(1j * config.k_pad * padded) * scale
+    """Spectrum of G(v) from v's modes |k| <= K, truncated to |k| <= K.
+
+    One batched inverse transform of the pair (v_hat, i k v_hat) gives v and
+    v_x on the padded grid; G = v (i/2 |v|^4 - v conj(v_x)) is formed in
+    place and taken back by one forward transform."""
+    m, band = config.modes, config.band_limit
+    kept = (np.s_[: band + 1], np.s_[-band:])
+    pair = np.zeros((2, config.pad), dtype=np.complex128)
+    for part in kept:
+        pair[0, part] = v_hat[part] / m
+    np.multiply(pair[0], config.k_pad, out=pair[1])
+    pair[1] *= 1j
+    # g holds v_x until G overwrites it
+    v, g = scipy.fft.ifft(pair, norm="forward", overwrite_x=True)
     # overflow here just means the blow-up check in step_gdnls will fire
     with np.errstate(over="ignore", invalid="ignore"):
-        g_phys = -(v_phys**2) * np.conj(vx_phys) + 0.5j * np.abs(v_phys) ** 4 * v_phys
-    g_hat_pad = np.fft.fft(g_phys) / scale
+        quartic = v.real**2 + v.imag**2
+        quartic *= quartic
+        np.conjugate(g, out=g)
+        g *= v
+        np.negative(g, out=g)
+        g.imag += 0.5 * quartic
+        g *= v
+    g_pad = scipy.fft.fft(g, norm="forward", overwrite_x=True)
     g_hat = np.zeros(m, dtype=np.complex128)
-    g_hat[: m // 2] = g_hat_pad[: m // 2]
-    g_hat[-(m // 2) :] = g_hat_pad[-(m // 2) :]
-    g_hat[~config.band_mask] = 0.0
+    for part in kept:
+        g_hat[part] = g_pad[part] * m
     return g_hat
 
 

@@ -8,9 +8,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gdnls import estimates
+from gdnls.solver import PhysicalState, TorusConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -48,6 +50,27 @@ def test_hooked_functions_keep_their_parameters(layers):
         assert layers[layer][name] is not None, f"{layer}.{name} has no hook"
         fn = getattr(importlib.import_module(f"gdnls.{layer}"), name)
         assert param in inspect.signature(fn).parameters, f"gdnls.{layer}.{name}({param})"
+
+
+class _Recorder:
+    """Stands in for the tracer: keeps the values a hook records."""
+
+    def __init__(self):
+        self.values = {}
+
+    def peak(self, key, value):
+        self.values[key] = max(self.values.get(key, 0), value)
+
+
+def test_step_hook_reads_a_real_state(layers):
+    """The step_gdnls hook reads the state's config.modes and
+    config.dealias_factor, which no signature check covers."""
+    config = TorusConfig(length=40.0, modes=64, dt=1e-4)
+    state = PhysicalState(config, np.zeros(config.modes))
+    rec = _Recorder()
+    layers["solver"]["step_gdnls"](rec, {"state": state}, None)
+    assert rec.values["solver.modes"] == 64
+    assert rec.values["solver.fft_len"] >= config.modes
 
 
 def test_gen2_frame_shape_matches_iterate_grid(tmp_path, monkeypatch):

@@ -75,6 +75,17 @@ def test_spectral_csv_round_trip(sample):
     assert back.grid == f.grid
 
 
+def test_spectral_csv_round_trip_at_solver_band_size():
+    """43,691 rows: the band |k| <= 2^16 // 3 of the solve benchmark."""
+    band = (1 << 16) // 3
+    grid = FrequencyGrid(xi_min=-band * np.pi / 20, delta_xi=np.pi / 20, count=2 * band + 1)
+    rng = np.random.default_rng(3)
+    f = SpectralFunction(grid, rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count))
+    back = spectral_from_csv(io.StringIO(to_string(spectral_to_csv, f)))
+    assert np.array_equal(back.values, f.values)
+    assert back.grid.count == grid.count
+
+
 def test_spectral_csv_requires_header():
     with pytest.raises(ConfigurationError):
         spectral_from_csv(io.StringIO("a,b,c\n1,2,3\n"))

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from gdnls import solver
 from gdnls.errors import AccuracyError, ConfigurationError
 from gdnls.solver import (
     PhysicalState,
     TorusConfig,
     _left_anchored_phase,
+    _nonlinear_hat,
     gauge,
     reversed_config,
     solve_dnls,
@@ -105,8 +109,6 @@ def test_time_reversal():
 
 
 def test_dealias_band_invariant():
-    from gdnls.solver import _nonlinear_hat
-
     cfg = TorusConfig(length=L, modes=M, dt=1e-4)
     st = gaussian_state(cfg, amplitude=1.0, width=0.5)
     g_hat = _nonlinear_hat(cfg, np.fft.fft(st.samples))
@@ -247,3 +249,71 @@ def test_spectrum_conversion_rejects_off_lattice_grid():
         state_from_spectrum(f, cfg)
     with pytest.raises(ConfigurationError):
         spectrum_from_state(gaussian_state(cfg), grid)
+
+
+def nonlinear_hat_3m_reference(config, v_hat):
+    """Reference for _nonlinear_hat: G of v's modes |k| < M/2 on a grid of
+    dealias_factor * M points, truncated to the kept band."""
+    m = config.modes
+    pad = config.dealias_factor * m
+    padded = np.zeros(pad, dtype=np.complex128)
+    padded[: m // 2] = v_hat[: m // 2]
+    padded[-(m // 2) :] = v_hat[-(m // 2) :]
+    scale = pad / m
+    k_pad = 2 * np.pi / config.length * np.fft.fftfreq(pad, d=1.0 / pad)
+    v_phys = np.fft.ifft(padded) * scale
+    vx_phys = np.fft.ifft(1j * k_pad * padded) * scale
+    g_phys = -(v_phys**2) * np.conj(vx_phys) + 0.5j * np.abs(v_phys) ** 4 * v_phys
+    g_hat_pad = np.fft.fft(g_phys) / scale
+    g_hat = np.zeros(m, dtype=np.complex128)
+    g_hat[: m // 2] = g_hat_pad[: m // 2]
+    g_hat[-(m // 2) :] = g_hat_pad[-(m // 2) :]
+    idx = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+    g_hat[np.abs(idx) > config.band_limit] = 0.0
+    return g_hat
+
+
+@pytest.mark.parametrize("modes, pad", [(64, 128), (1 << 16, 1 << 17)])
+def test_pad_is_the_band_alias_free_length(modes, pad):
+    assert TorusConfig(length=L, modes=modes, dt=1e-4).pad == pad
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nonlinear_hat_matches_3m_reference(seed):
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    rng = np.random.default_rng(seed)
+    v_hat = rng.normal(size=M) + 1j * rng.normal(size=M)
+    idx = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+    v_hat[np.abs(idx) > cfg.band_limit] = 0.0
+    want = nonlinear_hat_3m_reference(cfg, v_hat)
+    assert np.max(np.abs(_nonlinear_hat(cfg, v_hat) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_band_edge_datum_is_alias_free():
+    """Modes at +-K make the quintic reach +-5K; at a pad of 6K = 126 points
+    5K would fold onto -K, so this fails for a pad rule one point short."""
+    m = 64
+    cfg = TorusConfig(length=L, modes=m, dt=1e-4)
+    band = cfg.band_limit
+    assert band == 21
+    v_hat = np.zeros(m, dtype=np.complex128)
+    v_hat[band] = v_hat[-band] = m
+    v_hat[3] = m / 2
+    want = nonlinear_hat_3m_reference(cfg, v_hat)
+    assert np.max(np.abs(_nonlinear_hat(cfg, v_hat) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_trajectory_matches_3m_reference(monkeypatch):
+    cfg, f = torus_gaussian(L, 1 << 12)
+    cfg = replace(cfg, dt=0.5 / cfg.xi_max**2)
+    state = state_from_spectrum(f, cfg)
+    t_final = 16 * cfg.dt
+    got = solve_gdnls(state, t_final)
+    monkeypatch.setattr(solver, "_nonlinear_hat", nonlinear_hat_3m_reference)
+    want = solve_gdnls(state, t_final)
+    assert len(got) == len(want) == 2
+    err = np.max(np.abs(got[-1].samples - want[-1].samples))
+    assert err <= 1e-12 * np.max(np.abs(want[-1].samples))
+    drift_got = abs(got[-1].mass - state.mass) / state.mass
+    drift_want = abs(want[-1].mass - state.mass) / state.mass
+    assert abs(drift_got - drift_want) <= 1e-14
