@@ -40,14 +40,16 @@ __all__ = [
 def write_frames(stf: SpaceTimeFunction, path: str | Path) -> None:
     grid = stf.grid
     header = _HEADER.pack(
-        MAGIC, stf.frames.shape[0], grid.count, stf.time_grid.t_max, grid.xi_min, grid.delta_xi
+        MAGIC, stf.time_grid.steps + 1, grid.count, stf.time_grid.t_max, grid.xi_min, grid.delta_xi
     )
-    interleaved = np.empty(stf.frames.size * 2, dtype="<f8")
-    interleaved[0::2] = stf.frames.real.ravel()
-    interleaved[1::2] = stf.frames.imag.ravel()
+    # one dense frame at a time; little-endian complex is the format's
+    # interleaved (re, im) float64 pairs
+    frame = np.zeros(grid.count, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        for values in stf.values:
+            frame[stf.columns] = values
+            fh.write(frame.data)
 
 
 def read_frames(path: str | Path) -> SpaceTimeFunction:

@@ -4,6 +4,10 @@ by level recursion; per-tree evaluation (psi) is the recursion's test oracle.
 Everything lives on one shared symmetric frequency grid and one shared
 uniform time grid, so operators nest without re-integration: an inner
 iterate is available at every quadrature node of the outer time integral.
+A space-time function is stored on its support, the sorted columns nonzero
+at some time node, so the series path (free_frames, the Duhamel products,
+the level and generation recursions) works and allocates in proportion to
+that support, not to the grid's count.
 
 Product structure on the Fourier side (with the package convention
 f_hat = int f exp(-i x xi) dx):
@@ -16,8 +20,8 @@ Continuous convolutions are approximated by delta_xi-weighted discrete
 convolutions, taken block by block; offsets count cells from xi = 0 and the
 kept window is [-half, half], half = (count - 1) // 2.
 
-Blocks: an operand's nonzero columns (over all frames), split into maximal
-runs, absorbing each zero gap no longer than the wider of its neighbours.
+Blocks: an operand's stored columns, split into maximal runs, absorbing each
+zero gap no longer than the wider of its neighbours.
 Each block is transformed from local index 0 at the term's length L.  A plain
 slot puts local 0 at the block's first offset a.  A conjugate slot reads
 conj(F[block]), which is conj(v(-xi)) with local 0 at -a (the block reflected
@@ -27,7 +31,8 @@ i xi conj(v(-xi)) = conj(i xi' v(xi')) at xi' = -xi.
 Buckets: the slots are folded in one block at a time, partial products keyed
 by the summed offset of their local 0; equal keys are added in the transform
 domain.  Each bucket takes one inverse transform and adds its true support,
-key + [lo, hi], into the term's output, which is exactly zero elsewhere.
+key + [lo, hi], into the term's output, which is exactly zero elsewhere and
+is stored on the columns where it is nonzero.
 
 Nothing wraps: L = next_fast_len(sum over slots of (widest block - 1) + 1)
 holds any linear convolution of one block per slot.  L is capped at
@@ -115,22 +120,49 @@ class TimeGrid:
         return cls(t_max=t_max, steps=steps)
 
 
-@dataclass
 class SpaceTimeFunction:
-    """One SpectralFunction per time node, stored as a (steps+1, count) array."""
+    """One SpectralFunction per time node, stored on its support: `columns`
+    holds the sorted grid indices that are nonzero at some node and `values`
+    the (steps+1, len(columns)) stack on them; every other column is 0.
+    `frames` is the dense (steps+1, count) view."""
 
-    time_grid: TimeGrid
-    grid: FrequencyGrid
-    frames: np.ndarray
+    def __init__(self, time_grid: TimeGrid, grid: FrequencyGrid, frames: np.ndarray):
+        frames = np.asarray(frames, dtype=np.complex128)
+        expected = (time_grid.steps + 1, grid.count)
+        if frames.shape != expected:
+            raise ConfigurationError(f"frames shape {frames.shape}, expected {expected}")
+        self._store(time_grid, grid, np.arange(grid.count), frames)
 
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.complex128)
-        expected = (self.time_grid.steps + 1, self.grid.count)
-        if self.frames.shape != expected:
-            raise ConfigurationError(f"frames shape {self.frames.shape}, expected {expected}")
+    @classmethod
+    def _on_columns(cls, time_grid, grid, columns, values) -> "SpaceTimeFunction":
+        """A stack given on the sorted grid indices `columns`."""
+        stf = cls.__new__(cls)
+        stf._store(time_grid, grid, columns, values)
+        return stf
+
+    def _store(self, time_grid, grid, columns: np.ndarray, values: np.ndarray) -> None:
+        # keeps the columns that are nonzero at some node; a stack nonzero on
+        # all of them is kept as it is, not copied
+        self.time_grid, self.grid = time_grid, grid
+        nonzero = np.any(values, axis=0)
+        if nonzero.all():
+            self.columns, self.values = columns, values
+        else:
+            self.columns, self.values = columns[nonzero], values[:, nonzero]
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The dense stack: the stored array itself when no column is zero."""
+        if self.columns.size == self.grid.count:
+            return self.values
+        frames = np.zeros((self.time_grid.steps + 1, self.grid.count), dtype=np.complex128)
+        frames[:, self.columns] = self.values
+        return frames
 
     def at_index(self, i: int) -> SpectralFunction:
-        return SpectralFunction(self.grid, self.frames[i].copy())
+        values = np.zeros(self.grid.count, dtype=np.complex128)
+        values[self.columns] = self.values[i]
+        return SpectralFunction(self.grid, values)
 
     @property
     def final(self) -> SpectralFunction:
@@ -138,7 +170,11 @@ class SpaceTimeFunction:
 
     def __add__(self, other: "SpaceTimeFunction") -> "SpaceTimeFunction":
         _check_compatible(self, other)
-        return SpaceTimeFunction(self.time_grid, self.grid, self.frames + other.frames)
+        columns = np.union1d(self.columns, other.columns)
+        values = np.zeros((self.time_grid.steps + 1, columns.size), dtype=np.complex128)
+        for f in (self, other):
+            values[:, np.searchsorted(columns, f.columns)] += f.values
+        return SpaceTimeFunction._on_columns(self.time_grid, self.grid, columns, values)
 
 
 def _check_compatible(*fns: SpaceTimeFunction) -> None:
@@ -151,20 +187,17 @@ def _check_compatible(*fns: SpaceTimeFunction) -> None:
 
 
 def free_frames(phi: SpectralFunction, tg: TimeGrid) -> SpaceTimeFunction:
-    """Free evolution S(t) phi sampled at every time node.  The phase is
-    taken on phi's nonzero columns only; every other column is exactly 0."""
+    """Free evolution S(t) phi sampled at every time node, on phi's nonzero
+    columns."""
     columns = np.flatnonzero(phi.values)
-    frames = np.zeros((tg.steps + 1, phi.grid.count), dtype=np.complex128)
     phase = np.exp(-1j * np.outer(tg.times, phi.grid.xis[columns] ** 2))
-    frames[:, columns] = phase * phi.values[columns]
-    return SpaceTimeFunction(tg, phi.grid, frames)
+    return SpaceTimeFunction._on_columns(tg, phi.grid, columns, phase * phi.values[columns])
 
 
-def _blocks(frames: np.ndarray) -> list[tuple[int, int]]:
-    """Column ranges [start, stop) covering the columns that are nonzero in
-    some frame: the maximal runs, where a zero gap no longer than the wider
-    of its neighbours (the block so far and the next run) is absorbed."""
-    columns = np.flatnonzero(np.any(frames, axis=0))
+def _blocks(columns: np.ndarray) -> list[tuple[int, int]]:
+    """Column ranges [start, stop) covering the sorted column indices
+    `columns`: the maximal runs, where a zero gap no longer than the wider of
+    its neighbours (the block so far and the next run) is absorbed."""
     if columns.size == 0:
         return []
     cuts = np.flatnonzero(np.diff(columns) > 1)
@@ -178,6 +211,17 @@ def _blocks(frames: np.ndarray) -> list[tuple[int, int]]:
         else:
             blocks.append((start, stop))
     return blocks
+
+
+def _cover(intervals) -> np.ndarray:
+    """The sorted integers in a union of closed intervals [first, last]."""
+    runs = []
+    for first, last in sorted(intervals):
+        if runs and first <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], last)
+        else:
+            runs.append([first, last])
+    return np.concatenate([np.arange(a, b + 1) for a, b in runs] + [np.empty(0, dtype=np.intp)])
 
 
 # how each slot enters the product: J = v1 v2 d/dx conj(v3),
@@ -220,8 +264,7 @@ class _Readout:
         # per bucket: the residues of its true support and their offsets (a
         # capped bucket is read at every residue, at its offset in
         # [-half, size - half)), and the window offsets [first, last] it writes
-        self.cells, self.capped, reach = {}, {}, {}
-        self.mask = np.zeros(2 * half + 1, dtype=bool)
+        self.cells, self.capped, self.reach = {}, {}, {}
         for base, (_, lo, hi) in buckets.items():
             local = np.arange(lo, lo + min(hi - lo + 1, size))
             out = base + local
@@ -231,16 +274,16 @@ class _Readout:
             self.cells[base] = local % size, out
             first, last = max(out.min(), -half), min(out.max(), half)
             if first <= last:
-                reach[base] = first, last
-                self.mask[first + half : last + half + 1] = True
-        position = np.cumsum(self.mask) - 1
-        # per bucket: the first column it writes, and the start and length of
-        # the cyclic run of local indices it reads them from
+                self.reach[base] = first, last
+        # the grid indices the buckets write; per bucket, the first of its
+        # columns among them, and the start and length of the cyclic run of
+        # local indices it reads them from
+        self.columns = _cover(self.reach.values()) + half
         self.reads = {
-            base: (position[first + half], (first - base) % size, last - first + 1)
-            for base, (first, last) in reach.items()
+            base: (np.searchsorted(self.columns, first + half), (first - base) % size, last - first + 1)
+            for base, (first, last) in self.reach.items()
         }
-        self.values = np.empty((nodes, position[-1] + 1), dtype=np.complex128)
+        self.values = np.empty((nodes, self.columns.size), dtype=np.complex128)
 
     def add(self, buckets: dict, rows: slice) -> None:
         """Inverse-transform the buckets of the time nodes `rows` and add them in."""
@@ -304,18 +347,17 @@ def _accumulate(terms) -> SpaceTimeFunction:
 
     Each term is a block product at a length fixed by its own operands'
     blocks (see the module docstring).  Each distinct operand (by identity)
-    is transformed once per (kind, length) and chunk of time nodes, in one
-    batched transform, and shared by every term that takes it.  A term's
-    bits thus depend only on its own operands, and each term is closed in
-    time before it is added, so a multi-term call gives the bits of the sum
-    of single-term calls.
+    is split into blocks once, from its stored columns, and transformed once
+    per (kind, length) and chunk of time nodes, in one batched transform,
+    shared by every term that takes it.  A term's bits thus depend only on
+    its own operands, and each term is closed in time before it is added, so
+    a multi-term call gives the bits of the sum of single-term calls.
     """
     operands = [v for term in terms for v in term]
     _check_compatible(*operands)
     tg, grid = operands[0].time_grid, operands[0].grid
     half = (grid.count - 1) // 2
-    blocks = {id(v): _blocks(v.frames) for v in operands}
-    ixi = 1j * grid.xis
+    blocks = {key: _blocks(v.columns) for key, v in {id(v): v for v in operands}.items()}
 
     def spectrum(v: SpaceTimeFunction, kind: str, size: int, rows: slice) -> np.ndarray:
         """(blocks, nodes, size) transforms of v's blocks on the time nodes
@@ -325,12 +367,14 @@ def _accumulate(terms) -> SpaceTimeFunction:
         if key not in spectra:
             source = (id(v), "plain", size) if kind == "conj" else key
             if source not in spectra:
-                frames = v.frames[rows]
-                stack = np.zeros((len(blocks[id(v)]), len(frames), size), dtype=np.complex128)
+                values = v.values[rows]
+                stack = np.zeros((len(blocks[id(v)]), len(values), size), dtype=np.complex128)
                 for row, (start, stop) in zip(stack, blocks[id(v)]):
-                    row[:, : stop - start] = frames[:, start:stop]
+                    sel = slice(*np.searchsorted(v.columns, (start, stop)))
+                    columns = v.columns[sel]
+                    row[:, columns - start] = values[:, sel]
                     if kind == "derivative":
-                        row[:, : stop - start] *= ixi[start:stop]
+                        row[:, columns - start] *= 1j * grid.xis[columns]
                 spec = fft(stack, axis=-1, overwrite_x=True)
                 spectra[source] = np.conj(spec, out=spec) if kind == "derivative" else spec
             if kind == "conj":
@@ -365,21 +409,19 @@ def _accumulate(terms) -> SpaceTimeFunction:
             if reads[n] is None:
                 reads[n] = _Readout(buckets, size, half, tg.steps + 1)
             reads[n].add(buckets, rows)
-    support = np.zeros(grid.count, dtype=bool)
     for term, read in zip(live, reads):
         read.check_edges(term, grid.delta_xi)
-        support |= read.mask
 
     # each term: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
     # on the columns some term reaches
-    columns = np.flatnonzero(support)
+    columns = _cover(span for read in reads for span in read.reach.values()) + half
     phase = np.exp(1j * np.outer(tg.times, grid.xis[columns] ** 2))
     inner = []
     for term, read in zip(live, reads):
         product = read.values
         if product.shape != phase.shape:
             product = np.zeros_like(phase)
-            product[:, read.mask[columns]] = read.values
+            product[:, np.searchsorted(columns, read.columns)] = read.values
         product *= phase
         inner.append((term, _cumulative_simpson(product, tg.dt)))
     outer = np.conjugate(phase, out=phase)
@@ -390,11 +432,7 @@ def _accumulate(terms) -> SpaceTimeFunction:
         # the convolution weight weight^(arity - 1) rides on the prefactor
         product *= -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
         total += product
-    if columns.size == grid.count:
-        return SpaceTimeFunction(tg, grid, total)
-    frames = np.zeros((tg.steps + 1, grid.count), dtype=np.complex128)
-    frames[:, columns] = total
-    return SpaceTimeFunction(tg, grid, frames)
+    return SpaceTimeFunction._on_columns(tg, grid, columns, total)
 
 
 def duhamel_J(

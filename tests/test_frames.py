@@ -34,6 +34,21 @@ def test_binary_round_trip(sample, tmp_path):
     assert back.time_grid == sample.time_grid
 
 
+def test_binary_payload_of_a_stack_with_zero_columns(sample, tmp_path):
+    """A stack stored on part of its columns writes the dense frames as
+    interleaved little-endian (re, im) float64 pairs, and reads back equal."""
+    dense = sample.frames.copy()
+    dense[:, ::3] = 0
+    stf = SpaceTimeFunction(sample.time_grid, sample.grid, dense)
+    assert stf.columns.size < sample.grid.count
+    path = tmp_path / "frames.niqk1"
+    write_frames(stf, path)
+    interleaved = np.empty(dense.size * 2, dtype="<f8")
+    interleaved[0::2], interleaved[1::2] = dense.real.ravel(), dense.imag.ravel()
+    assert path.read_bytes().endswith(interleaved.tobytes())
+    assert np.array_equal(read_frames(path).frames, dense)
+
+
 def test_binary_writes_are_deterministic(sample, tmp_path):
     a, b = tmp_path / "a.niqk1", tmp_path / "b.niqk1"
     write_frames(sample, a)

@@ -1,4 +1,5 @@
 import operator
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -346,7 +347,7 @@ def test_comb_support_merges_into_few_blocks():
     teeth = (np.abs(grid.xis) <= 3.0) & (np.arange(grid.count) % 2 == 0)
     comb = SpectralFunction(grid, np.where(teeth, np.exp(-grid.xis**2 / 4), 0).astype(np.complex128))
     w = free_frames(comb, tg)
-    assert len(picard._blocks(w.frames)) <= 2
+    assert len(picard._blocks(w.columns)) <= 2
     want = duhamel_K_reference(w, w, w, w, w)
     assert np.linalg.norm(duhamel_K(w, w, w, w, w).frames - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -613,3 +614,71 @@ def test_spacetime_addition_checks_grids():
     w = free_frames(SpectralFunction(other, np.zeros(other.count)), tg)
     with pytest.raises(ConfigurationError):
         v + w
+
+
+def _assert_stored_on_support(v):
+    """`columns` are exactly the columns the dense scan finds nonzero, so
+    blocks, transform lengths and bits follow the dense stack."""
+    assert np.array_equal(v.columns, np.flatnonzero(np.any(v.frames, axis=0)))
+    assert v.values.shape == (v.time_grid.steps + 1, v.columns.size)
+
+
+def test_stacks_are_stored_on_their_support():
+    datum = _perturbed_datum()
+    tg = TimeGrid(t_max=P.T, steps=8)
+    for level in series_levels(datum, tg, 3):
+        _assert_stored_on_support(level)
+    for k, p in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+        _assert_stored_on_support(xi_generation(k, p, datum, tg))
+
+
+def test_series_memory_follows_the_support():
+    """Level 1 of phi on a 10^5-point grid takes memory for its support, not
+    for the dense (steps + 1, count) stack."""
+    grid = FrequencyGrid.symmetric(25_000.0, P.A / 8)
+    phi = make_phi(P, grid, min_points_per_block=8)
+    tg = TimeGrid(t_max=P.T, steps=8)
+    dense = (tg.steps + 1) * grid.count * 16
+    tracemalloc.start()
+    try:
+        series_levels(phi, tg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.count > 10**5
+    assert peak < dense / 4
+
+
+def test_dense_stacks_round_trip_through_their_columns():
+    grid, phi, tg = coarse_setup(steps=8)
+    rng = np.random.default_rng(0)
+    shape = (tg.steps + 1, grid.count)
+    dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dense[:, rng.random(grid.count) < 0.5] = 0
+    v = SpaceTimeFunction(tg, grid, dense)
+    assert v.columns.size < grid.count
+    assert np.array_equal(v.frames, dense)
+    assert np.array_equal(v.at_index(3).values, dense[3])
+    # a stack nonzero on every column is stored as given
+    full = np.ones((tg.steps + 1, grid.count), dtype=np.complex128)
+    assert np.shares_memory(SpaceTimeFunction(tg, grid, full).values, full)
+
+
+def test_zero_operand_gives_an_empty_stack():
+    grid, phi, tg = coarse_setup(steps=8)
+    v = free_frames(phi, tg)
+    zero = free_frames(SpectralFunction(grid, np.zeros(grid.count)), tg)
+    for out in (duhamel_J(v, zero, v), duhamel_J(zero, zero, zero)):
+        assert out.columns.size == 0
+        assert np.array_equal(out.frames, np.zeros((tg.steps + 1, grid.count)))
+
+
+def test_sum_of_disjoint_supports_is_the_dense_sum():
+    grid, phi, tg = coarse_setup(steps=8)
+    low = SpectralFunction(grid, np.where(grid.xis < 2 * P.N + 1, phi.values, 0))
+    v, w = free_frames(low, tg), free_frames(SpectralFunction(grid, phi.values - low.values), tg)
+    assert np.intersect1d(v.columns, w.columns).size == 0 < min(v.columns.size, w.columns.size)
+    total = v + w
+    assert np.array_equal(total.frames, v.frames + w.frames)
+    _assert_stored_on_support(total)
+    assert (v + SpaceTimeFunction(tg, grid, -v.frames)).columns.size == 0
