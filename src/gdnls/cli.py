@@ -386,7 +386,10 @@ def _write_checkpoints(trajectory, path) -> None:
     cfg = trajectory[0].config
     dxi = 2 * math.pi / cfg.length
     grid = spectrum.FrequencyGrid(xi_min=-(cfg.modes // 2) * dxi, delta_xi=dxi, count=cfg.modes)
-    spectra = np.stack([solver.spectrum_from_state(s, grid).values for s in trajectory])
+    spectra = np.zeros((len(trajectory), cfg.modes), dtype=np.complex128)
+    for row, state in zip(spectra, trajectory):
+        f = solver.spectrum_from_state(state, grid)
+        row[f.columns] = f.amplitudes
     tg = picard.TimeGrid(t_max=abs(trajectory[-1].time - trajectory[0].time), steps=len(trajectory) - 1)
     frames.write_frames(picard.SpaceTimeFunction(tg, grid, spectra), path)
 

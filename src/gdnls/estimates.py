@@ -187,7 +187,9 @@ def verify_lemma25(
         tj = t**j
         sup1 = max(sup1, fl_norm(frame, 1) / (tj * N**k * (R * A) ** (2 * k + 4 * p + 1)))
         supinf = max(supinf, fl_norm(frame, math.inf) / (tj * N**k * (R * A) ** (2 * k + 4 * p) * R))
-        deriv = SpectralFunction(grid, 1j * grid.xis * frame.values)
+        deriv = SpectralFunction._on_columns(
+            grid, frame.columns, 1j * grid.xi(frame.columns) * frame.amplitudes
+        )
         supder = max(
             supder,
             fl_norm(deriv, math.inf) / (tj * N ** (k + 1) * (R * A) ** (2 * k + 4 * p) * R),
@@ -276,24 +278,23 @@ def verify_lemma210(
     if j < 1 or j > 2:
         raise ConfigurationError("perturbation check supports j in {1, 2}")
     N, R, A = params.N, params.R, params.A
-    support = np.abs(psi_pert.values) > 0
-    if not support.any():
+    if psi_pert.columns.size == 0:
         raise ConfigurationError("perturbation is identically zero")
-    radius = float(np.max(np.abs(psi_pert.grid.xis[support])))
+    radius = float(np.max(np.abs(psi_pert.grid.xi(psi_pert.columns))))
     if N < 16 * radius:
         raise ConfigurationError(f"need N >= 16 * support radius ({radius})")
     if fl_norm(psi_pert, 1) > 8 * R * A:
         raise ConfigurationError("perturbation too large: FL1 above 8 R A")
     grid, tg, phi = generation_setup(params, j, params.T, points_per_block, time_steps, radius)
     psi_res = resample(psi_pert, grid)
-    perturbed = SpectralFunction(grid, phi.values + psi_res.values)
+    perturbed = phi + psi_res
     base = xi_level(j, phi, tg)
     shifted = xi_level(j, perturbed, tg)
     psi_l2 = sobolev_norm(psi_res, 0.0)
     sup = 0.0
     # node 0 is t = 0, where both sides vanish
     for i, t in enumerate(tg.times[1:], start=1):
-        diff = SpectralFunction(grid, shifted.at_index(i).values - base.at_index(i).values)
+        diff = shifted.at_index(i) - base.at_index(i)
         sup = max(sup, sobolev_norm(diff, 0.0) / (psi_l2 * (t * R**4 * A**4) ** j))
     ratios = {"l2_difference": sup}
     return EstimateReport(

@@ -16,6 +16,7 @@ Binary layout (little-endian):
 from __future__ import annotations
 
 import io
+import os
 import struct
 from pathlib import Path
 
@@ -53,6 +54,9 @@ def write_frames(stf: SpaceTimeFunction, path: str | Path) -> None:
 
 
 def read_frames(path: str | Path) -> SpaceTimeFunction:
+    """The stack in a frame file, stored on its nonzero columns.  The file is
+    read twice, one frame at a time: once to find those columns and once to
+    gather them, so reading takes the stored stack and one frame."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -60,14 +64,24 @@ def read_frames(path: str | Path) -> SpaceTimeFunction:
         magic, nframes, count, t_max, xi_min, delta_xi = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ConfigurationError(f"{path}: bad magic {magic!r}")
-        payload = fh.read()
-    if len(payload) != 16 * nframes * count:
-        raise ConfigurationError(f"{path}: payload size mismatch")
-    data = np.frombuffer(payload, dtype="<f8")
-    frames = (data[0::2] + 1j * data[1::2]).reshape(nframes, count)
-    grid = FrequencyGrid(xi_min=xi_min, delta_xi=delta_xi, count=count)
-    tg = TimeGrid(t_max=t_max, steps=nframes - 1)
-    return SpaceTimeFunction(tg, grid, frames)
+        if os.fstat(fh.fileno()).st_size - _HEADER.size != 16 * nframes * count:
+            raise ConfigurationError(f"{path}: payload size mismatch")
+        grid = FrequencyGrid(xi_min=xi_min, delta_xi=delta_xi, count=count)
+        tg = TimeGrid(t_max=t_max, steps=nframes - 1)
+        # little-endian complex is the format's interleaved (re, im) pairs
+        frame = np.empty(count, dtype="<c16")
+        nonzero = np.zeros(count, dtype=bool)
+        for _ in range(nframes):
+            fh.readinto(frame.data)
+            nonzero |= frame != 0
+        fh.seek(_HEADER.size)
+        columns = np.flatnonzero(nonzero)
+        values = np.empty((nframes, columns.size), dtype=np.complex128)
+        for row in values:
+            fh.readinto(frame.data)
+            # the columns are in range; mode "raise" would buffer the row
+            np.take(frame, columns, out=row, mode="clip")
+    return SpaceTimeFunction._on_columns(tg, grid, columns, values)
 
 
 def spectral_to_csv(f: SpectralFunction, path_or_buf) -> None:

@@ -218,7 +218,7 @@ def _series_final(v0, phi, params, tg, j_max):
     levels_phi = levels_v0 if v0 is phi else [lvl.final for lvl in series_levels(phi, tg, j_max)]
     total, _, ratio, tail = level_summary(levels_v0)
 
-    pert1 = SpectralFunction(v0.grid, levels_v0[1].values - levels_phi[1].values)
+    pert1 = levels_v0[1] - levels_phi[1]
     xi2_phi = sobolev_norm(levels_phi[2], s) if j_max >= 2 else float("nan")
     decomposition = {
         "xi1_phi_h_s": sobolev_norm(levels_phi[1], s),
@@ -272,17 +272,14 @@ def run_experiment(
         raise ConfigurationError(f"unknown method {method!r}")
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1 (got {j_max}): the decomposition uses level 1")
-    radius = 0.0 if psi is None else float(np.max(np.abs(psi.grid.xis[psi.values != 0]), initial=0))
+    radius = 0.0 if psi is None else float(np.max(np.abs(psi.grid.xi(psi.columns)), initial=0))
     results = []
     for N in sorted(N_sweep):
         params = choose_params(s, N, delta)
         conditions = check_conditions(params, n, margin=margin)
         grid = default_grid(params, j_max, points_per_block, psi_radius=radius)
         phi = make_phi(params, grid, min_points_per_block=points_per_block)
-        if psi is None:
-            v0 = phi
-        else:
-            v0 = SpectralFunction(grid, phi.values + resample(psi, grid).values)
+        v0 = phi if psi is None else phi + resample(psi, grid)
         gap = sobolev_norm(phi, s)
 
         if time_steps is None:
@@ -306,8 +303,7 @@ def run_experiment(
             solved, drift = _solver_final(v0, params, SOLVER_MODES_CAP)
             final_solver = sobolev_norm(solved, s)
             if method == "both":
-                diff = SpectralFunction(grid, solved.values - total.values)
-                agreement = sobolev_norm(diff, 0.0) / max(sobolev_norm(total, 0.0), 1e-300)
+                agreement = sobolev_norm(solved - total, 0.0) / max(sobolev_norm(total, 0.0), 1e-300)
             else:
                 final = final_solver
 

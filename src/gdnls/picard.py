@@ -5,9 +5,10 @@ Everything lives on one shared symmetric frequency grid and one shared
 uniform time grid, so operators nest without re-integration: an inner
 iterate is available at every quadrature node of the outer time integral.
 A space-time function is stored on its support, the sorted columns nonzero
-at some time node, so the series path (free_frames, the Duhamel products,
-the level and generation recursions) works and allocates in proportion to
-that support, not to the grid's count.
+at some time node, and so is each of its frames (a SpectralFunction on the
+columns nonzero at that node).  The series path (free_frames, the Duhamel
+products, the level and generation recursions, the finals and their sum)
+works and allocates in proportion to that support, not to the grid's count.
 
 Product structure on the Fourier side (with the package convention
 f_hat = int f exp(-i x xi) dx):
@@ -54,7 +55,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
-from .spectrum import FrequencyGrid, SpectralFunction, sobolev_norm
+from .spectrum import FrequencyGrid, SpectralFunction, _nonzero_columns, _sum_on_columns, sobolev_norm
 from .trees import Tree, compositions, tree_stats
 
 __all__ = [
@@ -141,14 +142,8 @@ class SpaceTimeFunction:
         return stf
 
     def _store(self, time_grid, grid, columns: np.ndarray, values: np.ndarray) -> None:
-        # keeps the columns that are nonzero at some node; a stack nonzero on
-        # all of them is kept as it is, not copied
         self.time_grid, self.grid = time_grid, grid
-        nonzero = np.any(values, axis=0)
-        if nonzero.all():
-            self.columns, self.values = columns, values
-        else:
-            self.columns, self.values = columns[nonzero], values[:, nonzero]
+        self.columns, self.values = _nonzero_columns(columns, values)
 
     @property
     def frames(self) -> np.ndarray:
@@ -160,9 +155,8 @@ class SpaceTimeFunction:
         return frames
 
     def at_index(self, i: int) -> SpectralFunction:
-        values = np.zeros(self.grid.count, dtype=np.complex128)
-        values[self.columns] = self.values[i]
-        return SpectralFunction(self.grid, values)
+        # a copy, so that the frame does not keep the whole stack alive
+        return SpectralFunction._on_columns(self.grid, self.columns, self.values[i].copy())
 
     @property
     def final(self) -> SpectralFunction:
@@ -170,10 +164,7 @@ class SpaceTimeFunction:
 
     def __add__(self, other: "SpaceTimeFunction") -> "SpaceTimeFunction":
         _check_compatible(self, other)
-        columns = np.union1d(self.columns, other.columns)
-        values = np.zeros((self.time_grid.steps + 1, columns.size), dtype=np.complex128)
-        for f in (self, other):
-            values[:, np.searchsorted(columns, f.columns)] += f.values
+        columns, values = _sum_on_columns([(self.columns, self.values), (other.columns, other.values)])
         return SpaceTimeFunction._on_columns(self.time_grid, self.grid, columns, values)
 
 
@@ -189,9 +180,8 @@ def _check_compatible(*fns: SpaceTimeFunction) -> None:
 def free_frames(phi: SpectralFunction, tg: TimeGrid) -> SpaceTimeFunction:
     """Free evolution S(t) phi sampled at every time node, on phi's nonzero
     columns."""
-    columns = np.flatnonzero(phi.values)
-    phase = np.exp(-1j * np.outer(tg.times, phi.grid.xis[columns] ** 2))
-    return SpaceTimeFunction._on_columns(tg, phi.grid, columns, phase * phi.values[columns])
+    phase = np.exp(-1j * np.outer(tg.times, phi.grid.xi(phi.columns) ** 2))
+    return SpaceTimeFunction._on_columns(tg, phi.grid, phi.columns, phase * phi.amplitudes)
 
 
 def _blocks(columns: np.ndarray) -> list[tuple[int, int]]:
@@ -374,7 +364,7 @@ def _accumulate(terms) -> SpaceTimeFunction:
                     columns = v.columns[sel]
                     row[:, columns - start] = values[:, sel]
                     if kind == "derivative":
-                        row[:, columns - start] *= 1j * grid.xis[columns]
+                        row[:, columns - start] *= 1j * grid.xi(columns)
                 spec = fft(stack, axis=-1, overwrite_x=True)
                 spectra[source] = np.conj(spec, out=spec) if kind == "derivative" else spec
             if kind == "conj":
@@ -415,7 +405,7 @@ def _accumulate(terms) -> SpaceTimeFunction:
     # each term: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
     # on the columns some term reaches
     columns = _cover(span for read in reads for span in read.reach.values()) + half
-    phase = np.exp(1j * np.outer(tg.times, grid.xis[columns] ** 2))
+    phase = np.exp(1j * np.outer(tg.times, grid.xi(columns) ** 2))
     inner = []
     for term, read in zip(live, reads):
         product = read.values
@@ -541,7 +531,7 @@ def xi_level(
 def level_summary(finals: list[SpectralFunction]) -> tuple:
     """(partial sum, L^2 norms of the levels, last observed ratio of
     consecutive norms, geometric tail extrapolated from it; inf if >= 1)."""
-    total = SpectralFunction(finals[0].grid, np.sum([f.values for f in finals], axis=0))
+    total = sum(finals[1:], finals[0])
     l2s = [sobolev_norm(f, 0.0) for f in finals]
     ratio = 0.0
     for j in range(1, len(l2s)):
@@ -608,16 +598,13 @@ def first_iterate_quintic_exact(
     grid = phi.grid if grid is None else grid
     if grid != phi.grid:
         raise ConfigurationError("oracle expects phi defined on the output grid")
-    support = np.nonzero(np.abs(phi.values) > 0)[0]
-    S = support.size
-    if S == 0:
-        return SpectralFunction(grid, np.zeros(grid.count, dtype=np.complex128))
+    S = phi.columns.size
     if S > MAX_ORACLE_LATTICE:
         raise ResourceError(
             f"oracle lattice size {S} exceeds {MAX_ORACLE_LATTICE}; use a coarser grid"
         )
-    xs = grid.xis[support]
-    amps = phi.values[support]
+    xs = grid.xi(phi.columns)
+    amps = phi.amplitudes
 
     x1 = xs[:, None, None, None]
     x2 = xs[None, :, None, None]
@@ -632,16 +619,21 @@ def first_iterate_quintic_exact(
         * np.conj(amps)[None, None, None, :]
     )
 
-    lookup = phi.values
+    # the output indices j1 - j2 + j3 - j4 + j5 on the grid: the signed
+    # Minkowski sum of the support
+    columns = np.zeros(1, dtype=np.intp)
+    for sign in (1, -1, 1, -1, 1):
+        columns = np.unique(columns[:, None] + sign * phi.columns)
+    columns = columns[(columns >= 0) & (columns < grid.count)]
     dxi = grid.delta_xi
-    out = np.zeros(grid.count, dtype=np.complex128)
+    out = np.zeros(columns.size, dtype=np.complex128)
     pref = -0.5 * (dxi / (2 * np.pi)) ** 4
-    for j in range(grid.count):
-        xi = grid.xis[j]
+    for n, j in enumerate(columns):
+        xi = grid.xi(j)
         xi5 = xi - shift
         i5 = np.rint((xi5 - grid.xi_min) / dxi).astype(np.intp)
-        valid = (i5 >= 0) & (i5 < grid.count)
-        a5 = np.where(valid, lookup[np.clip(i5, 0, grid.count - 1)], 0.0)
+        at = np.searchsorted(phi.columns, i5).clip(max=S - 1)
+        a5 = np.where(phi.columns[at] == i5, amps[at], 0.0)
         if not np.any(a5):
             continue
         big_phi = xi**2 + quad - xi5**2
@@ -651,5 +643,5 @@ def first_iterate_quintic_exact(
             e_factor = (np.exp(1j * z) - 1.0) / (1j * big_phi)
         zt = 1j * z[small]
         e_factor[small] = t * (1.0 + zt / 2.0 + zt**2 / 6.0 + zt**3 / 24.0)
-        out[j] = pref * np.exp(-1j * t * xi**2) * np.sum(prod4 * a5 * e_factor)
-    return SpectralFunction(grid, out)
+        out[n] = pref * np.exp(-1j * t * xi**2) * np.sum(prod4 * a5 * e_factor)
+    return SpectralFunction._on_columns(grid, columns, out)

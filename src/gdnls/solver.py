@@ -253,31 +253,33 @@ def solve_dnls(u0: PhysicalState, t_final: float, **kwargs) -> list[PhysicalStat
     return [ungauge(s) for s in gauged]
 
 
-def _mode_indices(grid: FrequencyGrid, config: TorusConfig) -> np.ndarray:
-    """Torus mode index k of every grid point xi = 2 pi k / L; raises off that lattice."""
+def _mode_indices(grid: FrequencyGrid, config: TorusConfig, columns: np.ndarray) -> np.ndarray:
+    """Torus mode index k of the grid points `columns`, xi = 2 pi k / L;
+    raises when the grid lies off that lattice."""
     dxi = 2 * np.pi / config.length
     if abs(grid.delta_xi - dxi) > 1e-9 * dxi:
         raise ConfigurationError(f"grid spacing {grid.delta_xi} must equal 2 pi / L = {dxi}")
-    cells = grid.xis / dxi
+    # a point's offset from the lattice is linear in its index (the spacing
+    # check keeps it far below half a cell), so the grid's two ends bound it
+    cells = grid.xi(np.r_[0, grid.count - 1, columns]) / dxi
     k = np.rint(cells)
     if np.max(np.abs(cells - k)) > LATTICE_TOL:
         raise ConfigurationError(f"grid points lie off the torus lattice 2 pi k / L, L = {config.length}")
-    return k.astype(np.int64)
+    return k[2:].astype(np.int64)
 
 
 def state_from_spectrum(f: SpectralFunction, config: TorusConfig, time: float = 0.0) -> PhysicalState:
     """Periodize a line spectrum: requires delta_xi = 2 pi / L so grid points
     coincide with torus modes.  u(x) = (delta_xi / 2 pi) sum f_hat(xi_k) e^{i xi_k x}."""
-    k = _mode_indices(f.grid, config)
+    k = _mode_indices(f.grid, config, f.columns)
     dxi = 2 * np.pi / config.length
     m = config.modes
-    nonzero = f.values != 0
-    above = nonzero & (np.abs(k) > config.band_limit)
+    above = np.abs(k) > config.band_limit
     if np.any(above):
-        xi = f.grid.xis[np.argmax(above)]
+        xi = f.grid.xi(f.columns[np.argmax(above)])
         raise ConfigurationError(f"spectral content at xi = {xi} above the torus band limit {config.xi_max}")
     c_hat = np.zeros(m, dtype=np.complex128)
-    c_hat[k[nonzero] % m] = f.values[nonzero] * dxi / (2 * np.pi)
+    c_hat[k % m] = f.amplitudes * dxi / (2 * np.pi)
     samples = np.fft.ifft(c_hat) * m
     return PhysicalState(config, samples, time)
 
@@ -285,11 +287,13 @@ def state_from_spectrum(f: SpectralFunction, config: TorusConfig, time: float = 
 def spectrum_from_state(state: PhysicalState, grid: FrequencyGrid) -> SpectralFunction:
     """Inverse of state_from_spectrum on the resolved band |k| <= M/2 - 1; zero elsewhere."""
     cfg = state.config
-    k = _mode_indices(grid, cfg)
     dxi = 2 * np.pi / cfg.length
+    top = cfg.modes // 2 - 1
+    # on the lattice, column j holds mode first + j
+    first = _mode_indices(grid, cfg, np.r_[0])[0]
+    columns = np.arange(max(-top - first, 0), min(top - first, grid.count - 1) + 1)
     c_hat = np.fft.fft(state.samples) / cfg.modes
-    kept = np.abs(k) <= cfg.modes // 2 - 1
-    return SpectralFunction(grid, np.where(kept, c_hat[k % cfg.modes] * 2 * np.pi / dxi, 0.0))
+    return SpectralFunction._on_columns(grid, columns, c_hat[(first + columns) % cfg.modes] * 2 * np.pi / dxi)
 
 
 def reversed_config(config: TorusConfig) -> TorusConfig:

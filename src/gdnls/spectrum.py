@@ -6,13 +6,17 @@ Conventions fixed once for the whole package:
 * H^s norm  ( (1/2pi) int <xi>^{2s} |f_hat|^2 dxi )^{1/2}  with <xi> = (1+xi^2)^{1/2};
 * frequency blocks are half-open, [center - A/2, center + A/2), resolved by
   grid-point membership.
+
+A spectrum is stored on its support: the sorted grid indices where it is
+nonzero and its amplitudes there.  Grid points are computed by index,
+xi_j = xi_min + j delta_xi, so nothing on the way from the datum to its
+norms allocates or scans the grid's count of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +60,14 @@ class FrequencyGrid:
         half = int(math.ceil(xi_max / delta_xi))
         return cls(xi_min=-half * delta_xi, delta_xi=delta_xi, count=2 * half + 1)
 
-    @cached_property
+    def xi(self, indices):
+        """The grid points at `indices`, computed as xi_min + delta_xi * indices."""
+        return self.xi_min + self.delta_xi * indices
+
+    @property
     def xis(self) -> np.ndarray:
-        return self.xi_min + self.delta_xi * np.arange(self.count)
+        """Every grid point: a dense array of `count` floats, built on each read."""
+        return self.xi(np.arange(self.count))
 
     @property
     def xi_max(self) -> float:
@@ -72,24 +81,76 @@ class FrequencyGrid:
         return int(round((xi - self.xi_min) / self.delta_xi))
 
 
-@dataclass
+def _nonzero_columns(columns: np.ndarray, values: np.ndarray) -> tuple:
+    """`columns` and `values` (columns on the last axis) cut to the columns
+    nonzero somewhere; returned as given, not copied, when none is zero."""
+    nonzero = np.any(np.atleast_2d(values), axis=0)
+    if nonzero.all():
+        return columns, values
+    return columns[nonzero], values[..., nonzero]
+
+
+def _sum_on_columns(terms) -> tuple:
+    """(columns, values) of the sum of (columns, values) terms, each
+    scattered onto the union of the columns and added in order."""
+    columns = np.unique(np.concatenate([c for c, _ in terms]))
+    total = np.zeros(terms[0][1].shape[:-1] + (columns.size,), dtype=np.complex128)
+    for c, v in terms:
+        total[..., np.searchsorted(columns, c)] += v
+    return columns, total
+
+
 class SpectralFunction:
-    """Complex amplitudes f_hat(xi_j) on a FrequencyGrid."""
+    """Complex amplitudes f_hat(xi_j) on a FrequencyGrid, stored on their
+    support: `columns` holds the sorted grid indices where f_hat is nonzero
+    and `amplitudes` its values there; every other point is 0.  `values` is
+    the dense view on all `count` points, built on read.
 
-    grid: FrequencyGrid
-    values: np.ndarray
+    SpectralFunction(grid, values) takes a dense array and keeps its nonzero
+    entries; an array with no zero is kept as it is, not copied."""
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.count,):
+    def __init__(self, grid: FrequencyGrid, values):
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != (grid.count,):
             raise ConfigurationError(
-                f"values shape {self.values.shape} does not match grid count {self.grid.count}"
+                f"values shape {values.shape} does not match grid count {grid.count}"
             )
-        if not np.all(np.isfinite(self.values)):
+        self._store(grid, np.arange(grid.count), values)
+
+    @classmethod
+    def _on_columns(cls, grid, columns, amplitudes) -> "SpectralFunction":
+        """A spectrum given on the sorted grid indices `columns`."""
+        f = cls.__new__(cls)
+        f._store(grid, columns, amplitudes)
+        return f
+
+    def _store(self, grid, columns: np.ndarray, amplitudes: np.ndarray) -> None:
+        self.grid = grid
+        self.columns, self.amplitudes = _nonzero_columns(columns, amplitudes)
+        if not np.all(np.isfinite(self.amplitudes)):
             raise ConfigurationError("spectral values must be finite")
 
+    @property
+    def values(self) -> np.ndarray:
+        """The dense spectrum: the stored array itself when no point is zero."""
+        if self.columns.size == self.grid.count:
+            return self.amplitudes
+        values = np.zeros(self.grid.count, dtype=np.complex128)
+        values[self.columns] = self.amplitudes
+        return values
+
     def copy(self) -> "SpectralFunction":
-        return SpectralFunction(self.grid, self.values.copy())
+        return SpectralFunction._on_columns(self.grid, self.columns.copy(), self.amplitudes.copy())
+
+    def __add__(self, other: "SpectralFunction") -> "SpectralFunction":
+        if other.grid != self.grid:
+            raise ConfigurationError("operands must share one frequency grid")
+        terms = [(self.columns, self.amplitudes), (other.columns, other.amplitudes)]
+        return SpectralFunction._on_columns(self.grid, *_sum_on_columns(terms))
+
+    def __sub__(self, other: "SpectralFunction") -> "SpectralFunction":
+        # a + (-b) rounds as a - b
+        return self + SpectralFunction._on_columns(other.grid, other.columns, -other.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -123,9 +184,20 @@ class NormReport:
         return {"h_s": self.h_s, "l2": self.l2, "fl1": self.fl1, "fl_inf": self.fl_inf}
 
 
-def _block_mask(grid: FrequencyGrid, center: float, width: float) -> np.ndarray:
-    xis = grid.xis
-    return (xis >= center - width / 2) & (xis < center + width / 2)
+def _around(grid: FrequencyGrid, lo: float, hi: float) -> np.ndarray:
+    """The grid indices of [lo, hi] and of a point or two each side, for the
+    caller's own test on their points: grid points rise with their index."""
+    first = max(math.floor((lo - grid.xi_min) / grid.delta_xi) - 1, 0)
+    last = min(math.ceil((hi - grid.xi_min) / grid.delta_xi) + 1, grid.count - 1)
+    return np.arange(first, last + 1)
+
+
+def _block(grid: FrequencyGrid, center: float, width: float) -> np.ndarray:
+    """Indices of the grid points in [center - width/2, center + width/2)."""
+    lo, hi = center - width / 2, center + width / 2
+    j = _around(grid, lo, hi)
+    xi = grid.xi(j)
+    return j[(xi >= lo) & (xi < hi)]
 
 
 def make_phi(
@@ -145,54 +217,67 @@ def make_phi(
             f"grid [{grid.xi_min}, {grid.xi_max}] does not cover the data support "
             f"[{2 * N - A / 2}, {3 * N + A / 2}]"
         )
-    values = np.zeros(grid.count, dtype=np.complex128)
-    values[_block_mask(grid, 2 * N, A)] = R
-    values[_block_mask(grid, 3 * N, A)] = R
-    return SpectralFunction(grid, values)
+    columns = np.union1d(_block(grid, 2 * N, A), _block(grid, 3 * N, A))
+    return SpectralFunction._on_columns(grid, columns, np.full(columns.size, R, dtype=np.complex128))
 
 
 def smooth_bump(grid: FrequencyGrid, radius: float, s: float) -> SpectralFunction:
     """Smooth compactly supported spectrum exp(-1/(1-(xi/radius)^2)) on
     (-radius, radius), scaled to unit H^s norm."""
-    xis = grid.xis
-    u = xis / radius
-    values = np.zeros(grid.count, dtype=np.complex128)
+    j = _around(grid, -radius, radius)
+    u = grid.xi(j) / radius
     inside = np.abs(u) < 1
-    values[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    f = SpectralFunction(grid, values)
+    values = np.exp(-1.0 / (1.0 - u[inside] ** 2)).astype(np.complex128)
+    f = SpectralFunction._on_columns(grid, j[inside], values)
     norm = sobolev_norm(f, s)
     if norm == 0.0:
         raise ConfigurationError("bump unresolved on this grid; refine delta_xi")
-    f.values *= 1.0 / norm
-    return f
+    return SpectralFunction._on_columns(grid, f.columns, f.amplitudes * (1.0 / norm))
+
+
+def _trapezoid(f: SpectralFunction, y: np.ndarray) -> float:
+    """Trapezoid rule over the grid of y on f's columns, 0 elsewhere."""
+    ends = (f.columns == 0) | (f.columns == f.grid.count - 1)
+    return f.grid.delta_xi * (np.sum(y) - 0.5 * np.sum(y[ends]))
 
 
 def sobolev_norm(f: SpectralFunction, s: float) -> float:
-    w = (1.0 + f.grid.xis**2) ** s
-    integrand = w * np.abs(f.values) ** 2
-    return float(np.sqrt(np.trapezoid(integrand, dx=f.grid.delta_xi) / (2 * np.pi)))
+    w = (1.0 + f.grid.xi(f.columns) ** 2) ** s
+    return float(np.sqrt(_trapezoid(f, w * np.abs(f.amplitudes) ** 2) / (2 * np.pi)))
 
 
 def fl_norm(f: SpectralFunction, p: float) -> float:
     if p == 1:
-        return float(np.trapezoid(np.abs(f.values), dx=f.grid.delta_xi))
+        return float(_trapezoid(f, np.abs(f.amplitudes)))
     if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+        return float(np.max(np.abs(f.amplitudes), initial=0.0))
     raise ConfigurationError("only p = 1 and p = inf are supported")
 
 
 def free_evolve(f: SpectralFunction, t: float) -> SpectralFunction:
     """Linear Schroedinger flow: multiplication by exp(-i t xi^2)."""
-    return SpectralFunction(f.grid, f.values * np.exp(-1j * t * f.grid.xis**2))
+    phase = np.exp(-1j * t * f.grid.xi(f.columns) ** 2)
+    return SpectralFunction._on_columns(f.grid, f.columns, f.amplitudes * phase)
 
 
 def resample(f: SpectralFunction, grid: FrequencyGrid) -> SpectralFunction:
-    """Linear interpolation of a spectrum onto another grid (zero outside)."""
+    """Linear interpolation of a spectrum onto another grid (zero outside).
+
+    The interpolant vanishes off the source's columns widened by a point each
+    way, so only that stretch is interpolated, at the target points around
+    it; np.interp is pointwise, so the bits are those of the whole grid."""
     if f.grid == grid:
         return f
-    re = np.interp(grid.xis, f.grid.xis, f.values.real, left=0.0, right=0.0)
-    im = np.interp(grid.xis, f.grid.xis, f.values.imag, left=0.0, right=0.0)
-    return SpectralFunction(grid, re + 1j * im)
+    if f.columns.size == 0:
+        return SpectralFunction._on_columns(grid, f.columns, f.amplitudes)
+    first, last = max(f.columns[0] - 1, 0), min(f.columns[-1] + 1, f.grid.count - 1)
+    xp = f.grid.xi(np.arange(first, last + 1))
+    fp = np.zeros(xp.size, dtype=np.complex128)
+    fp[f.columns - first] = f.amplitudes
+    j = _around(grid, xp[0], xp[-1])
+    re = np.interp(grid.xi(j), xp, fp.real, left=0.0, right=0.0)
+    im = np.interp(grid.xi(j), xp, fp.imag, left=0.0, right=0.0)
+    return SpectralFunction._on_columns(grid, j, re + 1j * im)
 
 
 def norm_report(f: SpectralFunction, s: float) -> NormReport:

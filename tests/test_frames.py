@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,3 +121,27 @@ def test_spacetime_csv_layout(sample):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == sample.grid.xi_min
+
+
+def test_reading_takes_about_one_stack(tmp_path):
+    """A 5 x 65,536 checkpoint file, shaped like `gdnls solve` writes it
+    (the k = -M/2 column is zero): reading peaks near the stored stack, not
+    at several copies of it."""
+    grid = FrequencyGrid(xi_min=-32768.0, delta_xi=1.0, count=65536)
+    tg = TimeGrid(t_max=1.0, steps=4)
+    rng = np.random.default_rng(1)
+    dense = rng.normal(size=(5, grid.count)) + 1j * rng.normal(size=(5, grid.count))
+    dense[:, 0] = 0
+    path = tmp_path / "frames.niqk1"
+    write_frames(SpaceTimeFunction(tg, grid, dense), path)
+    stack = dense.nbytes
+    del dense
+    tracemalloc.start()
+    try:
+        back = read_frames(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stack
+    assert back.values.flags.writeable and back.columns.size == grid.count - 1
+    assert np.array_equal(back.columns, np.arange(1, grid.count))

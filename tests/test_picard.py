@@ -682,3 +682,21 @@ def test_sum_of_disjoint_supports_is_the_dense_sum():
     assert np.array_equal(total.frames, v.frames + w.frames)
     _assert_stored_on_support(total)
     assert (v + SpaceTimeFunction(tg, grid, -v.frames)).columns.size == 0
+
+
+@pytest.mark.parametrize("N", [2.0**30, 2.0**44])
+def test_quintic_against_direct_oracle_at_large_n(N):
+    """phi's K term against the direct lattice sum far beyond a dense grid:
+    at N = 2^44 the grid would hold 3e15 points.  Offsets are integers and
+    xi = xi_min + j delta_xi is exact below 2^53, so the phases T xi^2 keep
+    their precision: the error is the time quadrature's at T N^2 = 0.256,
+    1.49e-10 at both N (1.67e-10 at N = 16, where the blocks overlap less)."""
+    params = ParameterSet(s=-1.0, N=N, A=4.0, R=1.0, T=0.256 / N**2)
+    grid = default_grid(params, generations=1, points_per_block=8)
+    phi = make_phi(params, grid, min_points_per_block=8)
+    assert phi.columns.size == 16 and grid.count > 10**10
+    v = free_frames(phi, TimeGrid(t_max=params.T, steps=64))
+    got = duhamel_K(v, v, v, v, v).final
+    want = first_iterate_quintic_exact(phi, params.T)
+    err = np.linalg.norm((got - want).amplitudes) / np.linalg.norm(want.amplitudes)
+    assert err < 1.5e-10

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gdnls.spectrum import (
     free_evolve,
     make_phi,
     norm_report,
+    resample,
     smooth_bump,
     sobolev_norm,
 )
@@ -197,3 +199,131 @@ def test_default_grid_covers_the_perturbed_level_hull(N):
     for g, (lo, hi) in enumerate(hulls):
         grid = default_grid(params, generations=g, psi_radius=r)
         assert max(-lo, hi) * N + 2 * grid.delta_xi < grid.xi_max
+
+
+def _assert_stored_on_support(f):
+    """`columns` are exactly the nonzero points of the dense view, sorted,
+    and `amplitudes` the values there."""
+    assert np.array_equal(f.columns, np.flatnonzero(f.values))
+    assert np.array_equal(f.amplitudes, f.values[f.columns])
+
+
+def test_grid_points_by_index_are_the_dense_points():
+    grid = FrequencyGrid.symmetric(1000.0, 1 / 3)
+    j = np.array([0, 1, 7, grid.count // 2, grid.count - 1])
+    assert np.array_equal(grid.xi(j), grid.xis[j])
+    assert grid.xi(grid.count - 1) == grid.xis[-1]
+
+
+def test_spectra_are_stored_on_their_support():
+    from gdnls.frames import spectral_from_csv, spectral_to_csv, to_string
+    from gdnls.picard import TimeGrid, duhamel_K, free_frames
+    from gdnls.solver import TorusConfig, spectrum_from_state, state_from_spectrum
+
+    grid = default_grid(PARAMS, generations=1, points_per_block=8)
+    phi = make_phi(PARAMS, grid, min_points_per_block=8)
+    bump = smooth_bump(FrequencyGrid.symmetric(16.0, 0.125), 8.0, -1.0)
+    v = free_frames(phi, TimeGrid(t_max=PARAMS.T, steps=4))
+    k = duhamel_K(v, v, v, v, v)
+    moved = resample(bump, grid)
+    produced = [phi, bump, moved, phi + moved, phi - phi, k.at_index(0), k.at_index(2), k.final]
+    assert k.at_index(0).columns.size == 0
+    # a dense input with zeros, and one whose zeros are signed
+    mixed = SpectralFunction(grid, np.where(np.arange(grid.count) % 3 == 0, 0, 1.5 - 2j))
+    signed = SpectralFunction(grid, np.where(np.arange(grid.count) % 2 == 0, -0.0, 1.0))
+    produced += [mixed, signed, free_evolve(mixed, 0.3)]
+    produced.append(spectral_from_csv(io.StringIO(to_string(spectral_to_csv, mixed))))
+    cfg = TorusConfig(length=40.0, modes=64, dt=1e-4)
+    dxi = 2 * np.pi / cfg.length
+    on_torus = SpectralFunction(FrequencyGrid.symmetric(10 * dxi, dxi), np.arange(21) % 4)
+    produced.append(spectrum_from_state(state_from_spectrum(on_torus, cfg), on_torus.grid))
+    for f in produced:
+        _assert_stored_on_support(f)
+
+
+def test_norms_match_the_dense_trapezoid():
+    """The norms sum on the stored columns with the trapezoid's weights:
+    half a cell at the grid's two ends, a full cell elsewhere."""
+    rng = np.random.default_rng(3)
+    grid = FrequencyGrid.symmetric(50.0, 0.25)
+    dense = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    dense[rng.random(grid.count) < 0.5] = 0
+    for ends in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        values = dense.copy()
+        values[[0, -1]] = [3.0 + 1j if ends[0] else 0, -2.0 if ends[1] else 0]
+        f = SpectralFunction(grid, values)
+        for s in (-1.0, -0.25, 0.0):
+            density = (1 + grid.xis**2) ** s * np.abs(f.values) ** 2
+            want = math.sqrt(np.trapezoid(density, dx=grid.delta_xi) / (2 * math.pi))
+            assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-14, abs=0)
+        want = np.trapezoid(np.abs(f.values), dx=grid.delta_xi)
+        assert fl_norm(f, 1) == pytest.approx(want, rel=1e-14, abs=0)
+        assert fl_norm(f, math.inf) == np.max(np.abs(f.values))
+    empty = SpectralFunction(grid, np.zeros(grid.count))
+    assert sobolev_norm(empty, -1.0) == fl_norm(empty, 1) == fl_norm(empty, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("N", [16.0, 256.0, 1000.5])
+@pytest.mark.parametrize("A", [4.0, 10.0, 16.3])
+@pytest.mark.parametrize("ppb", [3, 8, 32])
+def test_block_columns_are_the_dense_masks(N, A, ppb):
+    """make_phi and smooth_bump pick their columns by index arithmetic; the
+    sets equal the float masks over the whole grid, including the ties of
+    the half-open block edges and of |u| < 1 (dyadic A and ppb put edges on
+    grid points)."""
+    params = ParameterSet(s=-1.0, N=N, A=A, R=2.5, T=1e-6)
+    grid = default_grid(params, generations=0, points_per_block=ppb)
+    xis = grid.xis
+    mask = np.zeros(grid.count, dtype=bool)
+    for center in (2 * N, 3 * N):
+        mask |= (xis >= center - A / 2) & (xis < center + A / 2)
+    phi = make_phi(params, grid, min_points_per_block=ppb)
+    assert np.array_equal(phi.columns, np.flatnonzero(mask))
+    assert np.all(phi.amplitudes == 2.5)
+    for radius in (A, A / 2 + grid.delta_xi / 3, N):
+        u = xis / radius
+        inside = np.abs(u) < 1
+        bump = np.zeros(grid.count)
+        bump[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        assert np.array_equal(smooth_bump(grid, radius, -1.0).columns, np.flatnonzero(bump))
+
+
+def test_resample_is_the_dense_interpolation():
+    source = smooth_bump(FrequencyGrid.symmetric(16.0, 0.125), 8.0, -1.0)
+    rng = np.random.default_rng(5)
+    edge = FrequencyGrid(xi_min=-3.0, delta_xi=0.5, count=13)
+    # a source that reaches both ends of its grid, with gaps
+    values = np.where(rng.random(13) < 0.6, rng.normal(size=13), 0) + 0j
+    values[[0, -1]] = 1.0
+    ragged = SpectralFunction(edge, values)
+    targets = [
+        FrequencyGrid.symmetric(40.0, 0.3),
+        FrequencyGrid.symmetric(100.0, 8.0),
+        FrequencyGrid(xi_min=-7.9375, delta_xi=0.0625, count=200),
+        FrequencyGrid(xi_min=-2.75, delta_xi=0.25, count=30),
+        FrequencyGrid(xi_min=50.0, delta_xi=1.0, count=4),
+    ]
+    for f in (source, ragged):
+        for grid in targets:
+            want_re = np.interp(grid.xis, f.grid.xis, f.values.real, left=0.0, right=0.0)
+            want_im = np.interp(grid.xis, f.grid.xis, f.values.imag, left=0.0, right=0.0)
+            got = resample(f, grid)
+            assert np.array_equal(got.values, want_re + 1j * want_im)
+            _assert_stored_on_support(got)
+
+
+def test_dense_input_without_zeros_is_not_copied():
+    grid = FrequencyGrid.symmetric(4.0, 1.0)
+    full = np.ones(grid.count, dtype=np.complex128)
+    f = SpectralFunction(grid, full)
+    assert np.shares_memory(f.amplitudes, full) and np.shares_memory(f.values, full)
+    assert f.columns.size == grid.count
+
+
+def test_sums_need_one_grid():
+    a = make_phi(PARAMS, default_grid(PARAMS, generations=0))
+    b = make_phi(PARAMS, default_grid(PARAMS, generations=1))
+    with pytest.raises(ConfigurationError):
+        a + b
+    with pytest.raises(ConfigurationError):
+        a - b
