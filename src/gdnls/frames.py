@@ -96,26 +96,30 @@ def spectral_to_csv(f: SpectralFunction, path_or_buf) -> None:
 
 
 def spectral_from_csv(path_or_buf) -> SpectralFunction:
+    """The spectrum in an `xi,re,im` CSV.  Blank lines are skipped; the rows
+    are parsed in one pass, and scanned one by one only to name a ragged row
+    (rows are numbered among the nonblank lines, the header being row 1)."""
     try:
         buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
     except OSError as exc:
         raise ConfigurationError(f"cannot read spectrum CSV: {exc}") from exc
     try:
-        rows = [line.strip().split(",") for line in buf if line.strip()]
+        lines = [line for line in buf.read().splitlines() if line.strip()]
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"spectrum CSV is not text: {exc}") from exc
     finally:
         if buf is not path_or_buf:
             buf.close()
-    if not rows or rows[0] != ["xi", "re", "im"]:
+    if not lines or lines[0].strip() != "xi,re,im":
         raise ConfigurationError("expected CSV header 'xi,re,im'")
-    bad = next((n for n, row in enumerate(rows[1:], 2) if len(row) != 3), None)
-    if bad is not None:
-        raise ConfigurationError(f"CSV row {bad} does not have three cells xi,re,im")
+    rows = lines[1:]
     try:
-        data = np.array(rows[1:], dtype=np.float64)
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 3))
     except ValueError as exc:
+        _check_three_cells(rows)
         raise ConfigurationError(f"non-numeric CSV cell: {exc}") from exc
+    if data.shape[1] != 3:
+        _check_three_cells(rows)
     if data.shape[0] < 2:
         raise ConfigurationError("need at least two grid points")
     xis = data[:, 0]
@@ -125,6 +129,12 @@ def spectral_from_csv(path_or_buf) -> SpectralFunction:
         raise ConfigurationError("CSV frequency column is not uniformly spaced")
     grid = FrequencyGrid(xi_min=float(xis[0]), delta_xi=delta, count=len(xis))
     return SpectralFunction(grid, data[:, 1] + 1j * data[:, 2])
+
+
+def _check_three_cells(rows: list[str]) -> None:
+    bad = next((n for n, row in enumerate(rows, 2) if row.count(",") != 2), None)
+    if bad is not None:
+        raise ConfigurationError(f"CSV row {bad} does not have three cells xi,re,im")
 
 
 def spacetime_to_csv(stf: SpaceTimeFunction, path_or_buf) -> None:

@@ -22,7 +22,8 @@ convolutions, taken block by block; offsets count cells from xi = 0 and the
 kept window is [-half, half], half = (count - 1) // 2.
 
 Blocks: an operand's stored columns, split into maximal runs, absorbing each
-zero gap no longer than the wider of its neighbours.
+zero gap no longer than the wider of its neighbours; or, where the term
+takes its hull fold, one block from the first stored column to the last.
 Each block is transformed from local index 0 at the term's length L.  A plain
 slot puts local 0 at the block's first offset a.  A conjugate slot reads
 conj(F[block]), which is conj(v(-xi)) with local 0 at -a (the block reflected
@@ -33,7 +34,13 @@ Buckets: the slots are folded in one block at a time, partial products keyed
 by the summed offset of their local 0; equal keys are added in the transform
 domain.  Each bucket takes one inverse transform and adds its true support,
 key + [lo, hi], into the term's output, which is exactly zero elsewhere and
-is stored on the columns where it is nonzero.
+is stored on the columns where it is nonzero.  A wide operand beside split
+ones makes many buckets, so each term is priced both ways, block fold and
+hull fold, by counted work on the integer offsets alone: the fold is run on
+the summed offsets, merging equal keys, and a layout costs
+L (fold multiplications + (final buckets + forward blocks) log2 L).  The hull
+(one bucket) is taken only when it is strictly cheaper; a tie keeps the
+blocks.  The choice reads only the term's own operands.
 
 Nothing wraps: L = next_fast_len(sum over slots of (widest block - 1) + 1)
 holds any linear convolution of one block per slot.  L is capped at
@@ -49,6 +56,7 @@ term and the xi-interval that overflowed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,6 +227,35 @@ def _cover(intervals) -> np.ndarray:
 _SLOT_KINDS = {3: ("plain", "plain", "derivative"), 5: ("plain", "conj", "plain", "conj", "plain")}
 
 
+def _hull(blocks: list) -> list:
+    """One block from the first block's start to the last block's stop."""
+    return [(blocks[0][0], blocks[-1][1])]
+
+
+def _length(slot_blocks: list, half: int) -> int:
+    """The transform length of a term whose slots hold these blocks: the
+    length rule of the module docstring."""
+    span = 1 + sum(max(b - a - 1 for a, b in blocks) for blocks in slot_blocks)
+    return next_fast_len(min(span, 6 * half + 3))
+
+
+def _work(slot_blocks: list, kinds, half: int) -> float:
+    """Counted work of folding these blocks, as the module docstring prices
+    it: _fold run on the summed block offsets alone."""
+    signs = [1 if kind == "plain" else -1 for kind in kinds]
+    keys, products = {signs[0] * a for a, _ in slot_blocks[0]}, 0
+    for blocks, sign in zip(slot_blocks[1:], signs[1:]):
+        products += len(keys) * len(blocks)
+        keys = {key + sign * a for key in keys for a, _ in blocks}
+    size = _length(slot_blocks, half)
+    return size * (products + (len(keys) + sum(map(len, slot_blocks))) * math.log2(size))
+
+
+def _hull_is_cheaper(slot_blocks: list, kinds, half: int) -> bool:
+    """Whether a term whose slots hold these blocks takes its hull fold."""
+    return _work([_hull(blocks) for blocks in slot_blocks], kinds, half) < _work(slot_blocks, kinds, half)
+
+
 def _fold(slots: list) -> dict:
     """Block product of one term, as {output offset of local index 0:
     [transform, lowest, highest local index]}.  The slots are folded in one
@@ -335,13 +372,14 @@ def _accumulate(terms) -> SpaceTimeFunction:
     """Sum of the Duhamel products of a nonempty list of operand tuples, added
     in order: three operands give duhamel_J, five give duhamel_K.
 
-    Each term is a block product at a length fixed by its own operands'
-    blocks (see the module docstring).  Each distinct operand (by identity)
-    is split into blocks once, from its stored columns, and transformed once
-    per (kind, length) and chunk of time nodes, in one batched transform,
-    shared by every term that takes it.  A term's bits thus depend only on
-    its own operands, and each term is closed in time before it is added, so
-    a multi-term call gives the bits of the sum of single-term calls.
+    Each term is a block product, in the layout and at the length fixed by
+    its own operands' blocks (see the module docstring).  Each distinct
+    operand (by identity) is split into blocks once, from its stored
+    columns, and transformed once per (kind, length, layout) and chunk of
+    time nodes, in one batched transform, shared by every term that takes
+    it.  A term's bits thus depend only on its own operands, and each term
+    is closed in time before it is added, so a multi-term call gives the
+    bits of the sum of single-term calls.
     """
     operands = [v for term in terms for v in term]
     _check_compatible(*operands)
@@ -349,17 +387,20 @@ def _accumulate(terms) -> SpaceTimeFunction:
     half = (grid.count - 1) // 2
     blocks = {key: _blocks(v.columns) for key, v in {id(v): v for v in operands}.items()}
 
-    def spectrum(v: SpaceTimeFunction, kind: str, size: int, rows: slice) -> np.ndarray:
-        """(blocks, nodes, size) transforms of v's blocks on the time nodes
-        `rows`, each laid out from local index 0; see the module docstring
-        for the conjugate and derivative kinds."""
-        key = (id(v), kind, size)
+    def layout(v: SpaceTimeFunction, hull: bool) -> list:
+        return _hull(blocks[id(v)]) if hull else blocks[id(v)]
+
+    def spectrum(v: SpaceTimeFunction, kind: str, size: int, hull: bool, rows: slice) -> np.ndarray:
+        """(blocks, nodes, size) transforms of v's blocks in the given layout
+        on the time nodes `rows`, each laid out from local index 0; see the
+        module docstring for the conjugate and derivative kinds."""
+        key = (id(v), kind, size, hull)
         if key not in spectra:
-            source = (id(v), "plain", size) if kind == "conj" else key
+            source = (id(v), "plain", size, hull) if kind == "conj" else key
             if source not in spectra:
-                values = v.values[rows]
-                stack = np.zeros((len(blocks[id(v)]), len(values), size), dtype=np.complex128)
-                for row, (start, stop) in zip(stack, blocks[id(v)]):
+                values, runs = v.values[rows], layout(v, hull)
+                stack = np.zeros((len(runs), len(values), size), dtype=np.complex128)
+                for row, (start, stop) in zip(stack, runs):
                     sel = slice(*np.searchsorted(v.columns, (start, stop)))
                     columns = v.columns[sel]
                     row[:, columns - start] = values[:, sel]
@@ -371,7 +412,7 @@ def _accumulate(terms) -> SpaceTimeFunction:
                 spectra[key] = np.conj(spectra[source])
         return spectra[key]
 
-    def slots(term, size: int, rows: slice) -> list:
+    def slots(term, size: int, hull: bool, rows: slice) -> list:
         """Per slot, per block: the output offset of its local index 0, the
         lowest and highest local index it occupies, and its transform."""
         return [
@@ -379,23 +420,21 @@ def _accumulate(terms) -> SpaceTimeFunction:
                 (start - half, 0, stop - start - 1, spec)
                 if kind == "plain"
                 else (half - start, start + 1 - stop, 0, spec)
-                for (start, stop), spec in zip(blocks[id(v)], spectrum(v, kind, size, rows))
+                for (start, stop), spec in zip(layout(v, hull), spectrum(v, kind, size, hull, rows))
             ]
             for v, kind in zip(term, _SLOT_KINDS[len(term)])
         ]
 
     live = [term for term in terms if all(blocks[id(v)] for v in term)]
-    sizes = [
-        next_fast_len(min(1 + sum(max(b - a - 1 for a, b in blocks[id(v)]) for v in term), 6 * half + 3))
-        for term in live
-    ]
+    hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], _SLOT_KINDS[len(term)], half) for term in live]
+    sizes = [_length([layout(v, hull) for v in term], half) for term, hull in zip(live, hulls)]
     chunk = max(1, CHUNK_POINTS // max(sizes, default=1))
     reads = [None] * len(live)
     for first in range(0, tg.steps + 1, chunk):
         rows = slice(first, first + chunk)
         spectra = {}
-        for n, (term, size) in enumerate(zip(live, sizes)):
-            buckets = _fold(slots(term, size, rows))
+        for n, (term, size, hull) in enumerate(zip(live, sizes, hulls)):
+            buckets = _fold(slots(term, size, hull, rows))
             if reads[n] is None:
                 reads[n] = _Readout(buckets, size, half, tg.steps + 1)
             reads[n].add(buckets, rows)

@@ -113,6 +113,49 @@ def test_spectral_csv_requires_uniform_grid():
         spectral_from_csv(io.StringIO(text))
 
 
+def test_spectral_csv_skips_blank_lines_and_reads_crlf():
+    text = "xi,re,im\n0.0,1.0,0.5\n1.0,2.0,0.0\n2.0,-1.0,3.0\n"
+    want = spectral_from_csv(io.StringIO(text))
+    assert np.array_equal(want.values, [1.0 + 0.5j, 2.0, -1.0 + 3.0j])
+    blank = text.replace("\n1.0", "\n\n   \n1.0")
+    crlf = text.replace("\n", "\r\n")
+    for variant in (blank, crlf, crlf.replace("\r\n1.0", "\r\n\r\n1.0")):
+        back = spectral_from_csv(io.StringIO(variant))
+        assert np.array_equal(back.values, want.values)
+        assert back.grid == want.grid
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # '#' opens no comment: the row is a bad cell
+        ("xi,re,im\n#0.0,1.0,0.0\n1.0,1.0,0.0\n", "non-numeric CSV cell"),
+        ("xi,re,im\n0.0,1.0,\n1.0,1.0,0.0\n", "non-numeric CSV cell"),
+        ("xi,re,im\n", "need at least two grid points"),
+        ("xi,re,im\n0.0,1.0,0.0\n", "need at least two grid points"),
+        ("xi,im,re\n0.0,1.0,0.0\n1.0,1.0,0.0\n", "expected CSV header 'xi,re,im'"),
+        # rows are numbered among the nonblank lines, the header being row 1
+        ("xi,re,im\n0.0,1.0,0.0\n\n1.0,1.0\n2.0,1.0,0.0\n", "CSV row 3 does not have three cells"),
+        ("xi,re,im\n0.0,1.0,0.0,4.0\n1.0,1.0,0.0\n", "CSV row 2 does not have three cells"),
+        ("xi,re,im\n0.0,1.0\n1.0,1.0\n", "CSV row 2 does not have three cells"),
+        # a ragged row is named before an earlier bad cell
+        ("xi,re,im\n0.0,x,0.0\n1.0,1.0,0.0\n2.0,1.0\n", "CSV row 4 does not have three cells"),
+    ],
+)
+def test_spectral_csv_names_its_fault(text, message):
+    with pytest.raises(ConfigurationError, match=message):
+        spectral_from_csv(io.StringIO(text))
+
+
+def test_spectral_csv_names_unreadable_files(tmp_path):
+    with pytest.raises(ConfigurationError, match="cannot read spectrum CSV"):
+        spectral_from_csv(tmp_path / "absent.csv")
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"xi,re,im\n\xff,0,0\n")
+    with pytest.raises(ConfigurationError, match="spectrum CSV is not text"):
+        spectral_from_csv(binary)
+
+
 def test_spacetime_csv_layout(sample):
     text = to_string(spacetime_to_csv, sample)
     lines = text.splitlines()

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gdnls import inflation
+from gdnls import inflation, picard
 from gdnls.errors import ConfigurationError
 from gdnls.inflation import (
     check_conditions,
@@ -21,6 +21,7 @@ from gdnls.spectrum import (
     default_grid,
     make_phi,
     norm_report,
+    smooth_bump,
 )
 
 
@@ -235,3 +236,23 @@ def test_case1_run_at_n_2_30_takes_its_support():
     assert default_grid(result.params, 1, 8, psi_radius=8.0).count > 2 * 10**9
     assert peak < 400_000
     assert result.conditions.all_pass and result.ratio > 10**4
+
+
+def test_case1_sweep_keeps_the_block_fold(monkeypatch):
+    """The criterion-6 case-1 sweep at j_max = 1: phi and phi + psi split
+    into 2 and 3 blocks per slot, whose buckets merge on equal summed
+    offsets.  Every term there is cheaper as a block fold than on its hull,
+    and must stay one."""
+    hull_is_cheaper, choices = picard._hull_is_cheaper, []
+
+    def spy(slot_blocks, kinds, half):
+        choices.append((tuple(map(len, slot_blocks)), hull_is_cheaper(slot_blocks, kinds, half)))
+        return choices[-1][1]
+
+    monkeypatch.setattr(picard, "_hull_is_cheaper", spy)
+    psi = smooth_bump(FrequencyGrid.symmetric(16.0, 0.125), 8.0, -1.0)
+    Ns = [2.0**11, 2.0**12, 2.0**13]
+    results = run_experiment(-1.0, psi, Ns, delta=1.0, margin=4.0, points_per_block=8, j_max=1)
+    assert all(r.conditions.all_pass for r in results)
+    assert {blocks for blocks, _ in choices} == {(2,) * 3, (2,) * 5, (3,) * 3, (3,) * 5}
+    assert not any(hull for _, hull in choices)

@@ -565,6 +565,68 @@ def test_perturbed_levels_match_a_pairwise_recursion():
         assert err <= 1e-13 * np.linalg.norm(want[j].frames)
 
 
+def test_perturbed_levels_take_one_inverse_transform_per_term(monkeypatch):
+    """The levels of test_perturbed_levels_match_a_pairwise_recursion, which
+    it checks against the pairwise chains: level-0 blocks of 31, 8 and 8
+    columns at unequal starts, where block folds take up to 27 buckets a
+    term.  Every term of levels 1-3 takes its hull fold instead, one bucket
+    and one inverse transform."""
+    calls, ifft = [], picard.ifft
+
+    def spy(x, **kwargs):
+        calls.append(x.shape)
+        return ifft(x, **kwargs)
+
+    monkeypatch.setattr(picard, "ifft", spy)
+    test_perturbed_levels_match_a_pairwise_recursion()
+    terms = sum(1 for j in range(1, 4) for arity in (5, 3) for _ in compositions(j - 1, arity))
+    assert len(calls) == terms == 31
+
+
+def _spy_buckets(monkeypatch):
+    """Record the bucket count of every fold picard takes."""
+    counts, fold = [], picard._fold
+
+    def spy(slots):
+        buckets = fold(slots)
+        counts.append(len(buckets))
+        return buckets
+
+    monkeypatch.setattr(picard, "_fold", spy)
+    return counts
+
+
+@pytest.mark.parametrize("datum", ["phi", "perturbed", "gaussian"])
+def test_block_and_hull_folds_give_the_same_terms(monkeypatch, datum):
+    """Each term evaluated in both layouts, the choice forced: phi alone on
+    the generation-1 grid, phi plus the radius-8 bump of _perturbed_datum
+    (levels 1-3, whose operands split into blocks), and a Gaussian nonzero on
+    the whole grid, whose K term takes the capped length."""
+    grid, phi, _ = coarse_setup()
+    tg = TimeGrid(t_max=P.T, steps=8)
+    if datum == "perturbed":
+        phi = _perturbed_datum()
+    elif datum == "gaussian":
+        phi = SpectralFunction(grid, np.exp(-((grid.xis / 20.0) ** 2)).astype(np.complex128))
+    v = free_frames(phi, tg)
+    buckets = _spy_buckets(monkeypatch)
+
+    def terms(hull):
+        monkeypatch.setattr(picard, "_hull_is_cheaper", lambda *args: hull)
+        buckets.clear()
+        out = [duhamel_K(v, v, v, v, v), duhamel_J(v, v, v)]
+        if datum == "perturbed":
+            out += series_levels(phi, tg, 3)[1:]
+        return out, list(buckets)
+
+    blocks, block_buckets = terms(False)
+    hulls, hull_buckets = terms(True)
+    assert set(hull_buckets) == {1}
+    assert max(block_buckets) > 1 or datum == "gaussian"
+    for got, want in zip(hulls, blocks):
+        assert np.linalg.norm(got.frames - want.frames) <= 1e-13 * np.linalg.norm(want.frames)
+
+
 @pytest.mark.parametrize("j", [2, 3])
 def test_perturbed_levels_fit_the_default_grid(j):
     """phi plus the radius-8 bump at the case-1 block width A = N^0.02
