@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, estimates, frames, inflation, picard, solver, spectrum, trees
-from .errors import ConfigurationError, GdnlsError
+from .errors import ConfigurationError, GdnlsError, ResourceError
 
 __all__ = ["main"]
 
@@ -434,10 +434,11 @@ def main(argv=None) -> int:
         _apply_defaults(args)
         payload = _COMMANDS[args.command](args)
         _emit(args, payload)
-    except GdnlsError as exc:
-        print(f"error:{type(exc).__name__}:{args.command}", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return exc.exit_code
+    except (GdnlsError, MemoryError) as exc:
+        error = exc if isinstance(exc, GdnlsError) else ResourceError(f"out of memory: {exc}".rstrip(": "))
+        print(f"error:{type(error).__name__}:{args.command}", file=sys.stderr)
+        print(str(error), file=sys.stderr)
+        return error.exit_code
     return 0
 
 

@@ -6,12 +6,14 @@ The equation integrated is
     i v_t + v_xx = -i v^2 d/dx conj(v) - (1/2) |v|^4 v,
 
 rewritten as v_t = i v_xx + G(v) with G(v) = -v^2 d/dx conj(v) + (i/2)|v|^4 v.
-The linear flow is applied exactly through the integrating factor.  G reads
-only the kept band |k| <= K = M // dealias_factor and is truncated back to
-it: content above the band evolves by the linear flow alone.  G is evaluated
-pointwise on a zero-padded grid of pad = next_fast_len(6 K + 1) points.  The
-degree-5 product lies in |k| <= 5 K, and a product mode folds onto the kept
-band only if pad <= 6 K, so the kept modes are alias-free.
+The linear flow is applied exactly through the integrating factor, and the
+RK4 loop runs on the spectrum: samples are formed only for the states
+returned.  G reads only the kept band |k| <= K = M // dealias_factor and is
+truncated back to it: content above the band evolves by the linear flow
+alone.  G is evaluated pointwise on 2M points, the solver's M grid plus the
+same grid shifted by half a cell.  The degree-5 product lies in |k| <= 5 K
+and folds onto the kept band only if 2M <= 6 K; M is a power of two, so
+K < M / 3 and the kept modes are alias-free.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ class TorusConfig:
             raise ConfigurationError("dt must be nonzero")
         if self.dealias_factor < 3:
             raise ConfigurationError("quintic products need dealias_factor >= 3")
+        if self.dealias_factor > self.modes:
+            raise ConfigurationError("dealias_factor must leave a kept band: at most the mode count")
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
@@ -80,18 +84,20 @@ class TorusConfig:
         """Integrating factor of the linear flow over dt."""
         return self.e_half**2
 
-    @cached_property
+    @property
     def pad(self) -> int:
-        """Length of the nonlinearity's transforms: the shortest fast length
-        above 6 * band_limit, so no mode of a degree-5 product of band-limited
-        factors (|k| <= 5 * band_limit) folds onto the kept band."""
-        return scipy.fft.next_fast_len(6 * self.band_limit + 1)
+        """Points of the grid G is evaluated on: the M grid and its half-cell
+        shift.  6 * band_limit < pad, so no mode of a degree-5 product of
+        band-limited factors (|k| <= 5 * band_limit) folds onto the kept band."""
+        return 2 * self.modes
 
     @cached_property
-    def k_pad(self) -> np.ndarray:
-        """Wavenumbers of the zero-padded grid of `pad` points that G is
-        evaluated on."""
-        return 2 * np.pi / self.length * np.fft.fftfreq(self.pad, d=1.0 / self.pad)
+    def half_cell_shift(self) -> np.ndarray:
+        """tau_k = exp(i pi k / M) on the kept band in FFT order (k = 0..K,
+        then -K..-1), indexed by the same slices as an M-point spectrum: it
+        moves band-limited samples by half a cell."""
+        k = np.r_[: self.band_limit + 1, -self.band_limit : 0]
+        return np.exp(1j * np.pi / self.modes * k)
 
     @property
     def band_limit(self) -> int:
@@ -170,53 +176,68 @@ def ungauge(v: PhysicalState) -> PhysicalState:
 def _nonlinear_hat(config: TorusConfig, v_hat: np.ndarray) -> np.ndarray:
     """Spectrum of G(v) from v's modes |k| <= K, truncated to |k| <= K.
 
-    One batched inverse transform of the pair (v_hat, i k v_hat) gives v and
-    v_x on the padded grid; G = v (i/2 |v|^4 - v conj(v_x)) is formed in
-    place and taken back by one forward transform."""
-    m, band = config.modes, config.band_limit
+    One batched inverse transform of 4 rows of length M gives v and
+    w = -i v_x on the M grid and on its half-cell shift (the rows multiplied
+    by tau_k); G / i = v (v conj(w) + |v|^4 / 2) is formed in place on both
+    and taken back by one forward transform of 2 rows.  On the kept band the
+    2M-point spectrum is (Ghat_even + conj(tau_k) Ghat_odd) / 2."""
+    m, band, tau = config.modes, config.band_limit, config.half_cell_shift
     kept = (np.s_[: band + 1], np.s_[-band:])
-    pair = np.zeros((2, config.pad), dtype=np.complex128)
+    rows = np.zeros((4, m), dtype=np.complex128)
     for part in kept:
-        pair[0, part] = v_hat[part] / m
-    np.multiply(pair[0], config.k_pad, out=pair[1])
-    pair[1] *= 1j
-    # g holds v_x until G overwrites it
-    v, g = scipy.fft.ifft(pair, norm="forward", overwrite_x=True)
-    # overflow here just means the blow-up check in step_gdnls will fire
+        rows[0, part] = v_hat[part]
+        np.multiply(v_hat[part], tau[part], out=rows[1, part])
+        np.multiply(rows[:2, part], config.wavenumbers[part], out=rows[2:, part])
+    # g holds w until G / i overwrites it
+    rows = scipy.fft.ifft(rows, overwrite_x=True)
+    v, g = rows[:2], rows[2:]
+    # overflow here just means the blow-up check in _rk4_step will fire
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = v.real**2 + v.imag**2
         quartic *= quartic
         np.conjugate(g, out=g)
         g *= v
-        np.negative(g, out=g)
-        g.imag += 0.5 * quartic
+        g.real += 0.5 * quartic
         g *= v
-    g_pad = scipy.fft.fft(g, norm="forward", overwrite_x=True)
+    g_sub = scipy.fft.fft(g, overwrite_x=True)
     g_hat = np.zeros(m, dtype=np.complex128)
     for part in kept:
-        g_hat[part] = g_pad[part] * m
+        np.multiply(g_sub[1, part], tau[part].conj(), out=g_hat[part])
+        g_hat[part] += g_sub[0, part]
+        g_hat[part] *= 0.5j
     return g_hat
+
+
+def _rk4_step(config: TorusConfig, v_hat: np.ndarray, time: float, nonlinear: bool) -> np.ndarray:
+    """Spectrum after one integrating-factor RK4 step; `time` is the time
+    reached, named if the step blows up."""
+    dt, e_half, e_full = config.dt, config.e_half, config.e_full
+    if nonlinear:
+        n1 = _nonlinear_hat(config, v_hat)
+        n2 = _nonlinear_hat(config, e_half * (v_hat + dt / 2 * n1))
+        n3 = _nonlinear_hat(config, e_half * v_hat + dt / 2 * n2)
+        n4 = _nonlinear_hat(config, e_full * v_hat + dt * e_half * n3)
+        v_hat = e_full * v_hat + dt / 6 * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+    else:
+        v_hat = e_full * v_hat
+    if not np.all(np.isfinite(v_hat)):
+        raise AccuracyError(f"solution blew up at t = {time}")
+    return v_hat
+
+
+def _sampled(config: TorusConfig, v_hat: np.ndarray, time: float) -> PhysicalState:
+    """State at `time` from its spectrum; samples that overflow are a blow-up."""
+    samples = np.fft.ifft(v_hat)
+    if not np.all(np.isfinite(samples)):
+        raise AccuracyError(f"solution blew up at t = {time}")
+    return PhysicalState(config, samples, time)
 
 
 def step_gdnls(state: PhysicalState, nonlinear: bool = True) -> PhysicalState:
     """One integrating-factor RK4 step."""
-    cfg = state.config
-    dt, e_half, e_full = cfg.dt, cfg.e_half, cfg.e_full
-    v_hat = np.fft.fft(state.samples)
-
-    if nonlinear:
-        n1 = _nonlinear_hat(cfg, v_hat)
-        n2 = _nonlinear_hat(cfg, e_half * (v_hat + dt / 2 * n1))
-        n3 = _nonlinear_hat(cfg, e_half * v_hat + dt / 2 * n2)
-        n4 = _nonlinear_hat(cfg, e_full * v_hat + dt * e_half * n3)
-        v_hat = e_full * v_hat + dt / 6 * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
-    else:
-        v_hat = e_full * v_hat
-
-    samples = np.fft.ifft(v_hat)
-    if not np.all(np.isfinite(samples)):
-        raise AccuracyError(f"solution blew up at t = {state.time + dt}")
-    return PhysicalState(cfg, samples, state.time + dt)
+    cfg, time = state.config, state.time + state.config.dt
+    v_hat = _rk4_step(cfg, np.fft.fft(state.samples), time, nonlinear)
+    return _sampled(cfg, v_hat, time)
 
 
 def solve_gdnls(
@@ -239,11 +260,12 @@ def solve_gdnls(
     if n_steps <= 0 or abs(n_steps * cfg.dt - span) > 1e-9 * abs(span):
         raise ConfigurationError("t_final - t0 must be a positive multiple of dt")
     out = [v0]
-    state = v0
+    v_hat, time = np.fft.fft(v0.samples), v0.time
     for i in range(1, n_steps + 1):
-        state = step_gdnls(state, nonlinear=nonlinear)
+        time = time + cfg.dt
+        v_hat = _rk4_step(cfg, v_hat, time, nonlinear)
         if (checkpoint_every and i % checkpoint_every == 0) or i == n_steps:
-            out.append(state)
+            out.append(_sampled(cfg, v_hat, time))
     return out
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gdnls import cli
 from gdnls.cli import main
 
 
@@ -46,6 +47,21 @@ def test_trees_depth_cap_resource_error(capsys):
     code, _, err = run(capsys, "trees", "--enumerate", "3", "2")
     assert code == 3
     assert "ResourceError" in err
+
+
+@pytest.mark.parametrize(
+    "message, detail",
+    [("Unable to allocate 8.00 TiB", "out of memory: Unable to allocate 8.00 TiB"), ("", "out of memory")],
+)
+def test_out_of_memory_exits_3(capsys, monkeypatch, message, detail):
+    def _no_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "norms", _no_memory)
+    code, out, err = run(capsys, "norms", "--N", "256", "--A", "16", "--R", "4", "--s", "-1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error:ResourceError:norms", detail]
 
 
 def test_verify_lemma28_central_value(capsys):

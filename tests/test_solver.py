@@ -317,3 +317,81 @@ def test_trajectory_matches_3m_reference(monkeypatch):
     drift_got = abs(got[-1].mass - state.mass) / state.mass
     drift_want = abs(want[-1].mass - state.mass) / state.mass
     assert abs(drift_got - drift_want) <= 1e-14
+
+
+@pytest.mark.parametrize("dealias_factor", [3, 4, 5])
+@pytest.mark.parametrize("modes", [8, 64, 256])
+def test_band_edge_datum_is_alias_free_on_the_product_grid(modes, dealias_factor):
+    """G is sampled on the M grid and its half-cell shift, 2M points in all;
+    modes at +-K and one interior mode must match the d*M reference."""
+    cfg = TorusConfig(length=L, modes=modes, dt=1e-4, dealias_factor=dealias_factor)
+    assert cfg.pad == 2 * modes
+    band = cfg.band_limit
+    v_hat = np.zeros(modes, dtype=np.complex128)
+    v_hat[band] = v_hat[-band] = modes
+    v_hat[band // 2] += modes / 2
+    want = nonlinear_hat_3m_reference(cfg, v_hat)
+    assert np.max(np.abs(_nonlinear_hat(cfg, v_hat) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("modes", [64, 1 << 16])
+def test_nonlinear_hat_matches_3m_reference_across_sizes(modes):
+    cfg = TorusConfig(length=L, modes=modes, dt=1e-4)
+    rng = np.random.default_rng(modes)
+    v_hat = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    idx = np.fft.fftfreq(modes, d=1.0 / modes).astype(int)
+    v_hat[np.abs(idx) > cfg.band_limit] = 0.0
+    want = nonlinear_hat_3m_reference(cfg, v_hat)
+    assert np.max(np.abs(_nonlinear_hat(cfg, v_hat) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_config_rejects_an_empty_band():
+    with pytest.raises(ConfigurationError):
+        TorusConfig(length=L, modes=8, dt=1e-4, dealias_factor=9)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_solve_matches_successive_steps(nonlinear):
+    """solve_gdnls keeps the spectrum between steps; step_gdnls runs the same
+    RK4 body from samples, so the two differ by transform rounding only."""
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    state = gaussian_state(cfg, amplitude=1.0)
+    traj = solve_gdnls(state, 20 * cfg.dt, checkpoint_every=5, nonlinear=nonlinear)
+    assert len(traj) == 5
+    for want in traj[1:]:
+        for _ in range(5):
+            state = step_gdnls(state, nonlinear=nonlinear)
+        assert state.time == want.time
+        assert np.max(np.abs(state.samples - want.samples)) <= 1e-13 * np.max(np.abs(want.samples))
+
+
+@pytest.mark.parametrize("bad_step", [3, 2])
+def test_blowup_names_the_step_time(monkeypatch, bad_step):
+    """Non-finite values from one step's nonlinearity raise AccuracyError at
+    that step's time, on a checkpoint step (3) and between checkpoints (2)."""
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    calls = []
+
+    def poisoned(config, v_hat):
+        calls.append(None)
+        g_hat = _nonlinear_hat(config, v_hat)
+        return g_hat * np.nan if len(calls) > 4 * (bad_step - 1) else g_hat
+
+    monkeypatch.setattr(solver, "_nonlinear_hat", poisoned)
+    t = 0.0
+    for _ in range(bad_step):
+        t = t + cfg.dt
+    with pytest.raises(AccuracyError, match=f"at t = {t}$"):
+        solve_gdnls(gaussian_state(cfg), 6 * cfg.dt, checkpoint_every=3)
+    assert len(calls) == 4 * bad_step
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in ifft:RuntimeWarning")
+def test_overflowing_samples_raise_accuracy_error():
+    """A finite spectrum whose samples overflow is a blow-up, not an
+    invalid PhysicalState."""
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    samples = np.zeros(M, dtype=np.complex128)
+    samples[M // 2] = 1e307
+    with pytest.raises(AccuracyError, match=f"at t = {cfg.dt}$"):
+        solve_gdnls(PhysicalState(cfg, samples), cfg.dt, nonlinear=False)
