@@ -17,12 +17,12 @@ def main():
     phi = make_phi(params, grid, min_points_per_block=8)
     tg = TimeGrid.for_extent(params.T, grid.xi_max)
 
-    quintic = xi_generation(0, 1, phi, tg, cap=1).final
+    quintic = xi_generation(0, 1, phi, tg).final
     oracle = first_iterate_quintic_exact(phi, params.T, grid=grid)
     err = np.linalg.norm(quintic.values - oracle.values) / np.linalg.norm(oracle.values)
     print(f"quintic term vs direct-sum oracle: relative L2 error {err:.2e}")
 
-    cubic = xi_generation(1, 0, phi, tg, cap=1).final
+    cubic = xi_generation(1, 0, phi, tg).final
     print(f"cubic  term H^s norm: {sobolev_norm(cubic, params.s):.3e}")
     print(f"quintic term H^s norm: {sobolev_norm(quintic, params.s):.3e}")
     print("(the quintic term dominates whenever R^2 A^2 >> N)")

@@ -2,7 +2,7 @@
 
 Subcommands: trees, norms, iterate, verify, solve, inflate.  A JSON config
 file may supply any long-option value; explicit flags win.  Exit codes:
-0 success, 2 configuration error, 3 resource/cap error, 4 accuracy or
+0 success, 2 configuration error, 3 resource-limit error, 4 accuracy or
 divergence error.
 """
 
@@ -304,11 +304,10 @@ def _cmd_iterate(args) -> dict:
     _require(args, "k", "p")
     params = _params_from(args)
     t = args.t if args.t is not None else params.T
-    gens = args.k + args.p
     _, tg, phi = estimates.generation_setup(
-        params, gens, t, args.points_per_block or 16, args.time_steps
+        params, args.k + args.p, t, args.points_per_block or 16, args.time_steps
     )
-    result = picard.xi_generation(args.k, args.p, phi, tg, cap=max(gens, 2))
+    result = picard.xi_generation(args.k, args.p, phi, tg)
     if args.frames_out:
         frames.write_frames(result, args.frames_out)
     report = spectrum.norm_report(result.final, params.s)

@@ -57,19 +57,18 @@ term and the xi-interval that overflowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
 from .spectrum import FrequencyGrid, SpectralFunction, _nonzero_columns, _sum_on_columns, sobolev_norm
-from .trees import Tree, compositions, tree_stats
+from .trees import Tree, compositions, root_splits
 
 __all__ = [
     "TimeGrid",
     "SpaceTimeFunction",
-    "SeriesResult",
     "duhamel_J",
     "duhamel_K",
     "psi",
@@ -78,11 +77,9 @@ __all__ = [
     "xi_level",
     "series_levels",
     "level_summary",
-    "series_sum",
     "free_frames",
 ]
 
-DEFAULT_GENERATION_CAP = 2
 # relative edge mass above which a product counts as clipped by the grid
 CLIP_TOL = 1e-10
 MIN_TIME_STEPS = 4
@@ -495,19 +492,13 @@ def psi(
     tree: Tree,
     phi: SpectralFunction,
     tg: TimeGrid,
-    cap: int = DEFAULT_GENERATION_CAP,
 ) -> SpaceTimeFunction:
     """Multilinear Picard term of one tree: leaves become S(t) phi, 3-ary
     nodes the cubic operator, 5-ary nodes the quintic one."""
-    stats = tree_stats(tree)
-    if stats.internal > cap:
-        raise ResourceError(
-            f"tree has {stats.internal} internal nodes, above the generation cap {cap}"
-        )
     if tree.is_leaf:
         return free_frames(phi, tg)
     op = duhamel_J if len(tree.children) == 3 else duhamel_K
-    return op(*(psi(c, phi, tg, cap) for c in tree.children))
+    return op(*(psi(c, phi, tg) for c in tree.children))
 
 
 def series_levels(
@@ -531,26 +522,18 @@ def xi_generation(
     p: int,
     phi: SpectralFunction,
     tg: TimeGrid,
-    cap: int = DEFAULT_GENERATION_CAP,
 ) -> SpaceTimeFunction:
     """Sum of the Picard terms over every tree in generation (k, p), by the
-    series_levels recursion over (k, p) pairs: J children sum to (k - 1, p),
-    K children to (k, p - 1); terms are added in tree-enumeration order."""
-    if k + p > cap:
-        raise ResourceError(f"generation (k={k}, p={p}) above cap {cap}")
+    series_levels recursion over (k, p) pairs, one term per root split of
+    trees.root_splits, added in that (tree-enumeration) order; a negative k
+    or p is a ConfigurationError."""
     return _generation(k, p, {(0, 0): free_frames(phi, tg)})
 
 
 def _generation(k: int, p: int, table: dict) -> SpaceTimeFunction:
     """Xi_(k,p) from the per-call table of lower generations, filled on demand."""
     if (k, p) not in table:
-        terms = [
-            [_generation(a, b, table) for a, b in zip(ks, ps)]
-            for arity, kc, pc in ((3, k - 1, p), (5, k, p - 1))
-            if kc >= 0 and pc >= 0
-            for ks in compositions(kc, arity)
-            for ps in compositions(pc, arity)
-        ]
+        terms = [[_generation(a, b, table) for a, b in split] for split in root_splits(k, p)]
         table[(k, p)] = _accumulate(terms)
     return table[(k, p)]
 
@@ -559,11 +542,10 @@ def xi_level(
     j: int,
     phi: SpectralFunction,
     tg: TimeGrid,
-    cap: int = DEFAULT_GENERATION_CAP,
 ) -> SpaceTimeFunction:
     """Sum of xi_generation(k, p) over all k + p = j."""
-    if j > cap:
-        raise ResourceError(f"level {j} above cap {cap}")
+    if j < 0:
+        raise ConfigurationError(f"level {j} needs j >= 0")
     return series_levels(phi, tg, j)[j]
 
 
@@ -578,45 +560,6 @@ def level_summary(finals: list[SpectralFunction]) -> tuple:
             ratio = l2s[j] / l2s[j - 1]
     tail = l2s[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else float("inf")
     return total, l2s, ratio, tail
-
-
-@dataclass
-class SeriesResult:
-    """Partial Picard sum at the final time plus convergence diagnostics."""
-
-    total: SpectralFunction
-    level_l2: list[float]
-    ratio: float
-    tail_estimate: float
-    converged: bool
-    warnings: list[str] = field(default_factory=list)
-
-
-def series_sum(
-    phi: SpectralFunction,
-    tg: TimeGrid,
-    j_max: int = DEFAULT_GENERATION_CAP,
-) -> SeriesResult:
-    """Partial sum of the Picard series up to level j_max, evaluated at t_max.
-
-    The tail is extrapolated geometrically from the last observed L^2 level
-    ratio; an observed ratio >= 1 raises an accuracy (divergence) error.
-    """
-    finals = [lvl.final for lvl in series_levels(phi, tg, j_max)]
-    total, l2s, ratio, tail = level_summary(finals)
-    warnings = []
-    if j_max >= 1 and ratio >= 1.0:
-        raise AccuracyError(f"Picard series diverging: observed level ratio {ratio:.3g} >= 1")
-    if j_max >= 1 and ratio >= 0.5:
-        warnings.append(f"level ratio {ratio:.3g} >= 1/2; tail extrapolation unreliable")
-    return SeriesResult(
-        total=total,
-        level_l2=l2s,
-        ratio=ratio,
-        tail_estimate=tail,
-        converged=ratio < 0.5,
-        warnings=warnings,
-    )
 
 
 MAX_ORACLE_LATTICE = 90  # guard: the direct oracle builds S^4 arrays

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ResourceError
+from .errors import ConfigurationError, ResourceError
 
 DEFAULT_DEPTH_CAP = 4
 
@@ -27,6 +27,7 @@ __all__ = [
     "enumerate_trees",
     "count_trees",
     "compositions",
+    "root_splits",
     "tree_stats",
     "leaf_signature",
     "fitted_growth_constant",
@@ -136,15 +137,29 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def enumerate_trees(k: int, p: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[Tree]:
-    """Every ordered tree with exactly k 3-ary and p 5-ary internal nodes.
-
-    Deterministic order: trees with a 3-ary root precede trees with a 5-ary
-    root; within each arity, child generation splits are visited in
-    lexicographic order.
-    """
+def root_splits(k: int, p: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The child generations ((k1, p1), ...) of each root of generation
+    (k, p), k + p >= 1: 3-ary roots (children summing to (k - 1, p)) before
+    5-ary roots (children summing to (k, p - 1)); within each arity the
+    splits of the 3-ary count are visited in lexicographic order, and for
+    each of them the splits of the 5-ary count.  Generation (0, 0), the
+    leaf, has none; a negative k or p is a ConfigurationError."""
     if k < 0 or p < 0:
-        raise ValueError("k and p must be nonnegative")
+        raise ConfigurationError(f"generation (k={k}, p={p}) needs k >= 0 and p >= 0")
+    for arity, kc, pc in ((3, k - 1, p), (5, k, p - 1)):
+        if kc >= 0 and pc >= 0:
+            for ks in compositions(kc, arity):
+                for ps in compositions(pc, arity):
+                    yield tuple(zip(ks, ps))
+
+
+def enumerate_trees(k: int, p: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[Tree]:
+    """Every ordered tree with exactly k 3-ary and p 5-ary internal nodes,
+    in root_splits order, each child generation's trees in their own order.
+
+    depth_cap is the package's one size limit: the count grows
+    exponentially in k + p.
+    """
     if k + p > depth_cap:
         raise ResourceError(
             f"enumeration of generation (k={k}, p={p}) exceeds depth cap {depth_cap}"
@@ -156,20 +171,11 @@ def enumerate_trees(k: int, p: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[
 def _enumerate(k: int, p: int) -> list[Tree]:
     if k == 0 and p == 0:
         return [LEAF]
-    out: list[Tree] = []
-    if k >= 1:
-        for ks in compositions(k - 1, 3):
-            for ps in compositions(p, 3):
-                pools = [_enumerate(ki, pi) for ki, pi in zip(ks, ps)]
-                for combo in itertools.product(*pools):
-                    out.append(Tree(children=combo))
-    if p >= 1:
-        for ks in compositions(k, 5):
-            for ps in compositions(p - 1, 5):
-                pools = [_enumerate(ki, pi) for ki, pi in zip(ks, ps)]
-                for combo in itertools.product(*pools):
-                    out.append(Tree(children=combo))
-    return out
+    return [
+        Tree(children=combo)
+        for split in root_splits(k, p)
+        for combo in itertools.product(*(_enumerate(*child) for child in split))
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,25 +185,16 @@ def count_trees(k: int, p: int) -> int:
     Uses the root-split recursion with Python's arbitrary-precision
     integers, so no overflow is possible.
     """
-    if k < 0 or p < 0:
-        raise ValueError("k and p must be nonnegative")
     if k == 0 and p == 0:
         return 1
+    # plain loops: a generator expression would add frames to every level
+    # of the recursion, which runs k + p levels deep
     total = 0
-    if k >= 1:
-        for ks in compositions(k - 1, 3):
-            for ps in compositions(p, 3):
-                prod = 1
-                for ki, pi in zip(ks, ps):
-                    prod *= count_trees(ki, pi)
-                total += prod
-    if p >= 1:
-        for ks in compositions(k, 5):
-            for ps in compositions(p - 1, 5):
-                prod = 1
-                for ki, pi in zip(ks, ps):
-                    prod *= count_trees(ki, pi)
-                total += prod
+    for split in root_splits(k, p):
+        prod = 1
+        for child in split:
+            prod *= count_trees(*child)
+        total += prod
     return total
 
 

@@ -121,8 +121,8 @@ def test_criterion_4_upper_bound_harness():
         phi = make_phi(p, grid, min_points_per_block=16)
         tg = TimeGrid(t_max=T, steps=16)
         l2 = lambda f: sobolev_norm(f, 0.0)
-        xi1 = l2(xi_level(1, phi, tg, cap=2).final)
-        xi2 = l2(xi_level(2, phi, tg, cap=2).final)
+        xi1 = l2(xi_level(1, phi, tg).final)
+        xi2 = l2(xi_level(2, phi, tg).final)
         assert xi2 / xi1 <= 4.0 * T * R**4 * A**4
 
 
@@ -149,20 +149,21 @@ def test_criterion_5_solver_validity():
 
         # series vs solver at small data
         from gdnls.inflation import _solver_final
-        from gdnls.picard import series_sum
+        from gdnls.picard import level_summary, series_levels
 
         p = ParameterSet(s=-1.0, N=8.0, A=2.0, R=0.05, T=1e-3)
         grid = default_grid(p, generations=2, points_per_block=8, extra_blocks=4)
         phi = make_phi(p, grid, min_points_per_block=8)
         tg = TimeGrid.for_extent(p.T, grid.xi_max)
-        sr = series_sum(phi, tg, j_max=2)
+        total, _, ratio, tail = level_summary([lvl.final for lvl in series_levels(phi, tg, 2)])
+        assert ratio < 1.0
         solved, drift = _solver_final(phi, p, 1 << 16)
         num = sobolev_norm(
-            type(phi)(grid, solved.values - sr.total.values), 0.0
+            type(phi)(grid, solved.values - total.values), 0.0
         )
-        den = sobolev_norm(sr.total, 0.0)
+        den = sobolev_norm(total, 0.0)
         assert drift < 1e-10
-        assert num / den <= max(sr.tail_estimate / den, 1e-4)
+        assert num / den <= max(tail / den, 1e-4)
 
 
 # each case is swept at the largest condition margin its scaling reaches on

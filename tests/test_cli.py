@@ -286,6 +286,21 @@ def test_inflate_j_max_zero_exit_2(capsys):
     assert "ConfigurationError" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trees", "--count", "-1", "0"],
+        ["trees", "--enumerate", "0", "-1"],
+        ["iterate", "--N", "64", "--k", "-1", "--p", "0"],
+        ["verify", "--lemma", "2.5", "--N", "64", "--k", "-1", "--p", "1"],
+    ],
+)
+def test_negative_generation_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error:ConfigurationError:{argv[0]}" in err
+
+
 @pytest.mark.parametrize("lemma", ["2.6", "2.10"])
 def test_verify_report_is_json(capsys, lemma):
     generation = {"2.6": ["--k", "1", "--p", "0"], "2.10": ["--j", "1"]}[lemma]

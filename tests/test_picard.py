@@ -18,9 +18,9 @@ from gdnls.picard import (
     duhamel_K,
     first_iterate_quintic_exact,
     free_frames,
+    level_summary,
     psi,
     series_levels,
-    series_sum,
     xi_generation,
     xi_level,
 )
@@ -405,7 +405,7 @@ def cubic_oracle(phi, t):
 
 def test_cubic_against_direct_oracle():
     grid, phi, tg = coarse_setup()
-    got = xi_generation(1, 0, phi, tg, cap=1).final
+    got = xi_generation(1, 0, phi, tg).final
     want = cubic_oracle(phi, P.T)
     err = np.linalg.norm(got.values - want.values) / np.linalg.norm(want.values)
     assert err < 1e-6
@@ -413,7 +413,7 @@ def test_cubic_against_direct_oracle():
 
 def test_quintic_against_direct_oracle():
     grid, phi, tg = coarse_setup()
-    got = xi_generation(0, 1, phi, tg, cap=1).final
+    got = xi_generation(0, 1, phi, tg).final
     want = first_iterate_quintic_exact(phi, P.T, grid=grid)
     err = np.linalg.norm(got.values - want.values) / np.linalg.norm(want.values)
     assert err < 1e-6
@@ -437,7 +437,7 @@ def test_simpson_time_convergence_order():
     errs = []
     for steps in (16, 32, 64):
         tg = TimeGrid(t_max=big_t, steps=steps)
-        got = xi_generation(0, 1, phi, tg, cap=1).final
+        got = xi_generation(0, 1, phi, tg).final
         errs.append(np.linalg.norm(got.values - want.values))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
@@ -474,40 +474,42 @@ def test_psi_matches_operators_directly():
     assert np.allclose(quint.frames, duhamel_K(v, v, v, v, v).frames)
 
 
-def test_generation_cap_enforced():
-    grid, phi, tg = coarse_setup()
-    deep = Tree(children=(LEAF, LEAF, Tree(children=(LEAF, LEAF, LEAF))))
-    with pytest.raises(ResourceError):
-        psi(deep, phi, tg, cap=1)
-    with pytest.raises(ResourceError):
-        xi_generation(1, 1, phi, tg, cap=1)
-    with pytest.raises(ResourceError):
-        xi_level(2, phi, tg, cap=1)
+def test_negative_level_is_a_configuration_error():
+    """Without the check, xi_level(-1) would read series_levels(…, -1)[-1],
+    which is Xi_0."""
+    grid, phi, tg = coarse_setup(steps=4)
+    with pytest.raises(ConfigurationError):
+        xi_level(-1, phi, tg)
 
 
 def test_level_sums_generations():
     grid, phi, tg = coarse_setup(steps=16, generations=2)
-    lvl = xi_level(1, phi, tg, cap=1)
-    parts = xi_generation(1, 0, phi, tg, cap=1) + xi_generation(0, 1, phi, tg, cap=1)
+    lvl = xi_level(1, phi, tg)
+    parts = xi_generation(1, 0, phi, tg) + xi_generation(0, 1, phi, tg)
     assert np.allclose(lvl.frames, parts.frames)
 
 
 def test_recursion_matches_tree_oracle():
     """Level and generation recursions against the per-tree sum, added in
     tree-enumeration order.  Up to level 2 every child of a generation is a
-    single tree, so the generation sums are the same floating-point ops.
-    Few time steps: this checks the summation, not quadrature accuracy."""
-    grid, phi, tg = coarse_setup(steps=16, generations=2)
+    single tree, so the generation sums are the same floating-point ops; at
+    level 3 (180 trees) some children hold several trees, and the sums agree
+    to round-off.  Few time steps: this checks the summation, not quadrature
+    accuracy."""
+    grid, phi, tg = coarse_setup(steps=16, generations=3)
 
-    for j in range(3):
+    for j in range(4):
         oracles = []
         for k in range(j + 1):
             trees = enumerate_trees(k, j - k)
             oracles.append(reduce(operator.add, (psi(t, phi, tg) for t in trees)))
-            got = xi_generation(k, j - k, phi, tg, cap=2).frames
-            assert np.array_equal(got, oracles[-1].frames)
+            got, want = xi_generation(k, j - k, phi, tg).frames, oracles[-1].frames
+            if j <= 2:
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         want = reduce(operator.add, oracles).frames
-        got = xi_level(j, phi, tg, cap=2).frames
+        got = xi_level(j, phi, tg).frames
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -656,17 +658,18 @@ def test_perturbed_levels_fit_the_default_grid(j):
         assert np.max(np.abs(want.frames[:, outside])) <= 1e-14 * peak
 
 
-def test_series_sum_converges_at_small_amplitude():
+def test_level_summary_converges_at_small_amplitude():
     params = ParameterSet(s=-1.0, N=16.0, A=4.0, R=0.1, T=1e-3)
     grid = default_grid(params, generations=2, points_per_block=8)
     phi = make_phi(params, grid, min_points_per_block=8)
     tg = TimeGrid(t_max=params.T, steps=16)
-    result = series_sum(phi, tg, j_max=2)
-    assert result.converged
-    assert result.ratio < 0.5
-    assert result.tail_estimate < result.level_l2[0] * 1e-3
-    assert len(result.level_l2) == 3
-    assert result.level_l2[0] > result.level_l2[1] > result.level_l2[2]
+    finals = [level.final for level in series_levels(phi, tg, 2)]
+    total, level_l2, ratio, tail = level_summary(finals)
+    assert np.array_equal(total.values, (finals[0] + finals[1] + finals[2]).values)
+    assert ratio < 0.5
+    assert tail < level_l2[0] * 1e-3
+    assert len(level_l2) == 3
+    assert level_l2[0] > level_l2[1] > level_l2[2]
 
 
 def test_spacetime_addition_checks_grids():
