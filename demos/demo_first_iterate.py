@@ -8,14 +8,13 @@ engine of the norm-inflation mechanism.
 
 import numpy as np
 
-from gdnls.picard import TimeGrid, first_iterate_quintic_exact, xi_generation
-from gdnls.spectrum import ParameterSet, default_grid, make_phi, sobolev_norm
+from gdnls.estimates import generation_setup
+from gdnls.picard import first_iterate_quintic_exact, xi_generation
+from gdnls.spectrum import ParameterSet, sobolev_norm
 
 def main():
     params = ParameterSet(s=-1.0, N=16.0, A=4.0, R=1.0, T=1e-3)
-    grid = default_grid(params, generations=1, points_per_block=8)
-    phi = make_phi(params, grid, min_points_per_block=8)
-    tg = TimeGrid.for_extent(params.T, grid.xi_max)
+    grid, tg, phi = generation_setup(params, 1, params.T, points_per_block=8, time_steps=None)
 
     quintic = xi_generation(0, 1, phi, tg).final
     oracle = first_iterate_quintic_exact(phi, params.T, grid=grid)

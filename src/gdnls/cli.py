@@ -50,7 +50,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _shared_flags(p, "T", "points-per-block", "time-steps")
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=int)
-    p.add_argument("--t", type=float, help="evaluation time (default T)")
     p.add_argument("--frames-out", help="write all time frames in the binary NIQK1 format")
 
     p = sub.add_parser("verify", parents=[common], help="run one lemma verification")
@@ -109,11 +108,10 @@ def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 # defaults applied after the config file, so that both flags and config
-# entries can override them; flags always win over the config
+# entries can override them; flags always win over the config.  Options left
+# out here keep the library's own defaults (see _given).
 _DEFAULTS = {
     "format": "json",
-    "margin": estimates.DEFAULT_MARGIN,
-    "depth_cap": trees.DEFAULT_DEPTH_CAP,
     "s": -1.0,
     "A": 16.0,
     "R": 4.0,
@@ -121,10 +119,6 @@ _DEFAULTS = {
     "p": 1,
     "j": 1,
     "amplitude": 0.1,
-    "delta": 0.1,
-    "n": 1,
-    "method": "series",
-    "j_max": 2,
 }
 
 
@@ -194,7 +188,7 @@ _LEMMA_FLAGS = {
     "2.5": (*_DATUM_FLAGS, "k", "p"),
     "2.6": (*_DATUM_FLAGS, "k", "p"),
     "2.8": (),
-    "2.9": (*_DATUM_FLAGS, "margin", "t"),
+    "2.9": ("s", "N", "A", "R", "points_per_block", "time_steps", "margin", "t"),
     "2.10": (*_DATUM_FLAGS, "j"),
 }
 
@@ -213,6 +207,12 @@ def _apply_defaults(args: argparse.Namespace) -> None:
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
+
+
+def _given(args, *names) -> dict:
+    """The named options that a flag or the config file set, as keyword
+    arguments: the library's own defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _require(args, *keys):
@@ -282,7 +282,7 @@ def _cmd_trees(args) -> dict:
         return {"k": k, "p": p, "count": trees.count_trees(k, p)}
     if args.enumerate:
         k, p = args.enumerate
-        forest = trees.enumerate_trees(k, p, depth_cap=args.depth_cap)
+        forest = trees.enumerate_trees(k, p, **_given(args, "depth_cap"))
         return {
             "k": k,
             "p": p,
@@ -294,7 +294,7 @@ def _cmd_trees(args) -> dict:
 
 def _cmd_norms(args) -> dict:
     params = _params_from(args)
-    ppb = args.points_per_block or 64
+    ppb = 64 if args.points_per_block is None else args.points_per_block
     grid = spectrum.default_grid(params, generations=0, points_per_block=ppb)
     phi = spectrum.make_phi(params, grid, min_points_per_block=ppb)
     return spectrum.norm_report(phi, params.s).as_dict()
@@ -303,15 +303,13 @@ def _cmd_norms(args) -> dict:
 def _cmd_iterate(args) -> dict:
     _require(args, "k", "p")
     params = _params_from(args)
-    t = args.t if args.t is not None else params.T
-    _, tg, phi = estimates.generation_setup(
-        params, args.k + args.p, t, args.points_per_block or 16, args.time_steps
-    )
+    ppb = 16 if args.points_per_block is None else args.points_per_block
+    _, tg, phi = estimates.generation_setup(params, args.k + args.p, params.T, ppb, args.time_steps)
     result = picard.xi_generation(args.k, args.p, phi, tg)
     if args.frames_out:
         frames.write_frames(result, args.frames_out)
     report = spectrum.norm_report(result.final, params.s)
-    return {"k": args.k, "p": args.p, "t": t, "steps": tg.steps, **report.as_dict()}
+    return {"k": args.k, "p": args.p, "t": params.T, "steps": tg.steps, **report.as_dict()}
 
 
 def _cmd_verify(args) -> dict:
@@ -326,24 +324,20 @@ def _cmd_verify(args) -> dict:
             "note": "lower-bound constant c is the edge value of the order-5 B-spline",
         }
     params = _params_from(args)
-    ppb = args.points_per_block
-    kwargs = {}
-    if ppb is not None:
-        kwargs["points_per_block"] = ppb
-    if args.time_steps is not None:
-        kwargs["time_steps"] = args.time_steps
+    # _check_lemma_flags let through only the options this lemma reads
+    options = _given(args, "points_per_block", "time_steps", "margin")
     if args.lemma == "2.5":
-        rep = estimates.verify_lemma25(params, args.k, args.p, **kwargs)
+        rep = estimates.verify_lemma25(params, args.k, args.p, **options)
     elif args.lemma == "2.6":
-        rep = estimates.verify_lemma26(params, args.k, args.p, **kwargs)
+        rep = estimates.verify_lemma26(params, args.k, args.p, **options)
     elif args.lemma == "2.9":
         t = args.t if args.t is not None else 0.5 * estimates.TIME_WINDOW_FACTOR * params.N**-2
-        rep = estimates.verify_prop29(params, t, margin=args.margin, **kwargs)
+        rep = estimates.verify_prop29(params, t, **options)
     else:
         grid = spectrum.default_grid(params, generations=1,
-                                     points_per_block=ppb or 16)
+                                     points_per_block=options.get("points_per_block", 16))
         bump = inflation.default_perturbation(grid, params.s)
-        rep = estimates.verify_lemma210(params, bump, args.j, **kwargs)
+        rep = estimates.verify_lemma210(params, bump, args.j, **options)
     return rep.as_dict()
 
 
@@ -401,14 +395,9 @@ def _cmd_inflate(args) -> list:
             2 * inflation.DEFAULT_BUMP_RADIUS, inflation.DEFAULT_BUMP_RADIUS / 64
         )
         psi = inflation.default_perturbation(bump_grid, args.s)
-    kwargs = {}
-    if args.points_per_block is not None:
-        kwargs["points_per_block"] = args.points_per_block
-    if args.time_steps is not None:
-        kwargs["time_steps"] = args.time_steps
     results = inflation.run_experiment(
-        args.s, psi, args.N, n=args.n, method=args.method,
-        delta=args.delta, margin=args.margin, j_max=args.j_max, **kwargs,
+        args.s, psi, args.N,
+        **_given(args, "n", "method", "delta", "margin", "j_max", "points_per_block", "time_steps"),
     )
     return [r.as_dict() for r in results]
 

@@ -17,18 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimates import DEFAULT_MARGIN, f_s
-from .picard import TimeGrid, level_summary, series_levels
+from .estimates import DEFAULT_MARGIN, f_s, generation_setup
+from .picard import level_summary, series_levels
 from .solver import TorusConfig, solve_gdnls, spectrum_from_state, state_from_spectrum
-from .spectrum import (
-    ParameterSet,
-    SpectralFunction,
-    default_grid,
-    make_phi,
-    resample,
-    smooth_bump,
-    sobolev_norm,
-)
+from .spectrum import ParameterSet, SpectralFunction, resample, smooth_bump, sobolev_norm
 
 __all__ = [
     "ConditionReport",
@@ -41,7 +33,6 @@ __all__ = [
 
 CONDITION_IDS = ("i", "ii", "iii", "iv", "v", "vi")
 DEFAULT_BUMP_RADIUS = 8.0
-MAX_TIME_STEPS = 256
 SOLVER_MODES_CAP = 1 << 15
 S_ZERO_NOTE = (
     "at s = 0 condition (i) forces R << A^(-1/2), hence R^2 A^2 << A, "
@@ -277,15 +268,9 @@ def run_experiment(
     for N in sorted(N_sweep):
         params = choose_params(s, N, delta)
         conditions = check_conditions(params, n, margin=margin)
-        grid = default_grid(params, j_max, points_per_block, psi_radius=radius)
-        phi = make_phi(params, grid, min_points_per_block=points_per_block)
+        grid, tg, phi = generation_setup(params, j_max, params.T, points_per_block, time_steps, radius)
         v0 = phi if psi is None else phi + resample(psi, grid)
         gap = sobolev_norm(phi, s)
-
-        if time_steps is None:
-            tg = TimeGrid.for_extent(params.T, grid.xi_max, max_steps=MAX_TIME_STEPS)
-        else:
-            tg = TimeGrid(t_max=params.T, steps=time_steps)
 
         warnings = []
         if not conditions.all_pass:

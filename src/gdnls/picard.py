@@ -83,6 +83,8 @@ __all__ = [
 # relative edge mass above which a product counts as clipped by the grid
 CLIP_TOL = 1e-10
 MIN_TIME_STEPS = 4
+# most steps TimeGrid.for_extent will choose; a phase that needs more is refused
+MAX_TIME_STEPS = 4096
 PHASE_OVERSAMPLE = 16.0
 # wide transforms are folded a few time nodes at a time, about this many
 # complex points per stack of rows, so that the products stay in cache
@@ -111,16 +113,17 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
     @classmethod
-    def for_extent(
-        cls,
-        t_max: float,
-        xi_max: float,
-        max_steps: int = 4096,
-    ) -> "TimeGrid":
+    def for_extent(cls, t_max: float, xi_max: float) -> "TimeGrid":
         """Steps chosen to resolve the oscillatory phase exp(i t' xi^2),
-        whose magnitude is bounded by t * xi_max^2."""
+        whose magnitude is bounded by t * xi_max^2; more than MAX_TIME_STEPS
+        raises a ResourceError."""
         need = int(np.ceil(PHASE_OVERSAMPLE * t_max * xi_max**2))
-        steps = min(max(MIN_TIME_STEPS, need), max_steps)
+        if need > MAX_TIME_STEPS:
+            raise ResourceError(
+                f"the phase on [0, {t_max:g}] up to |xi| = {xi_max:g} needs {need} time steps "
+                f"(> cap {MAX_TIME_STEPS}); pass --time-steps (time_steps) to choose the count"
+            )
+        steps = max(MIN_TIME_STEPS, need)
         if steps % 2:
             steps += 1
         return cls(t_max=t_max, steps=steps)

@@ -305,6 +305,8 @@ def default_grid(
     covers any datum in [0, 3N]).  The `extra_blocks` widths A beyond that
     cover phi's half blocks, (2g + 1) A / 2 at level g.
     """
+    if points_per_block < 1:
+        raise ConfigurationError(f"points_per_block must be >= 1 (got {points_per_block})")
     hi = max(3 * params.N, psi_radius)
     reach = hi + 2 * generations * (hi + psi_radius)
     return FrequencyGrid.symmetric(reach + extra_blocks * params.A, params.A / points_per_block)

@@ -182,6 +182,7 @@ def _no_estimate(*args, **kwargs):
         ("2.9", ["--N", "256", "--k", "1"]),
         ("2.10", ["--N", "256", "--p", "0"]),
         ("2.10", ["--N", "256", "--margin", "3"]),
+        ("2.9", ["--N", "256", "--T", "1e-6"]),
     ],
 )
 def test_verify_rejects_flags_the_lemma_does_not_read(capsys, monkeypatch, lemma, extra):
@@ -301,6 +302,33 @@ def test_negative_generation_exit_2(capsys, argv):
     assert f"error:ConfigurationError:{argv[0]}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--N", "256"],
+        ["iterate", "--N", "64", "--k", "0", "--p", "1", "--time-steps", "4"],
+        ["verify", "--lemma", "2.5", "--N", "64", "--time-steps", "4"],
+        ["inflate", "--s", "-1", "--N", "64", "--delta", "1", "--j-max", "1", "--time-steps", "4"],
+    ],
+)
+def test_zero_points_per_block_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv, "--points-per-block", "0")
+    assert code == 2
+    assert f"error:ConfigurationError:{argv[0]}" in err
+    assert "points_per_block" in err
+
+
+def test_iterate_refuses_more_steps_than_the_cap(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("iterate evaluated the generation past the step cap")
+
+    monkeypatch.setattr("gdnls.picard.xi_generation", no_work)
+    code, _, err = run(capsys, "iterate", "--N", "64", "--k", "0", "--p", "1", "--T", "1")
+    assert code == 3
+    assert "error:ResourceError:iterate" in err
+    assert "--time-steps" in err
+
+
 @pytest.mark.parametrize("lemma", ["2.6", "2.10"])
 def test_verify_report_is_json(capsys, lemma):
     generation = {"2.6": ["--k", "1", "--p", "0"], "2.10": ["--j", "1"]}[lemma]
@@ -361,6 +389,9 @@ def test_flags_only_on_subcommands_that_read_them(capsys, tmp_path):
     solve = ["solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1e-3"]
     with pytest.raises(SystemExit) as exc:
         main([*solve, "--time-steps", "8"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # iterate evaluates at --T
+        main(["iterate", "--N", "64", "--k", "0", "--p", "1", "--t", "1e-6"])
     assert exc.value.code == 2
     cfg = tmp_path / "solve.json"
     cfg.write_text(json.dumps({"margin": 3.0}))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gdnls import inflation, picard
+from gdnls import estimates, inflation, picard
 from gdnls.errors import ConfigurationError
 from gdnls.inflation import (
     check_conditions,
@@ -159,13 +159,13 @@ def test_run_experiment_sizes_the_grid_for_the_perturbation(monkeypatch):
     """The grid covers the levels of phi + psi: default_grid gets psi's
     support radius, and 0 without psi."""
     radii = []
-    real = inflation.default_grid
+    real = estimates.default_grid
 
     def spy(*args, psi_radius, **kwargs):
         radii.append(psi_radius)
         return real(*args, psi_radius=psi_radius, **kwargs)
 
-    monkeypatch.setattr(inflation, "default_grid", spy)
+    monkeypatch.setattr(estimates, "default_grid", spy)
     grid = FrequencyGrid.symmetric(16.0, 0.125)
     psi = default_perturbation(grid, -1.0)
     for p in (psi, None):

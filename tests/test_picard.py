@@ -10,6 +10,7 @@ from scipy.signal import fftconvolve
 
 import gdnls.picard as picard
 from gdnls.errors import AccuracyError, ConfigurationError, ResourceError
+from gdnls.estimates import generation_setup
 from gdnls.inflation import DEFAULT_BUMP_RADIUS, choose_params
 from gdnls.picard import (
     SpaceTimeFunction,
@@ -39,12 +40,7 @@ P = ParameterSet(s=-1.0, N=16.0, A=4.0, R=1.0, T=1e-3)
 
 
 def coarse_setup(points_per_block=8, steps=None, generations=1):
-    grid = default_grid(P, generations=generations, points_per_block=points_per_block)
-    phi = make_phi(P, grid, min_points_per_block=points_per_block)
-    if steps is None:
-        tg = TimeGrid.for_extent(P.T, grid.xi_max)
-    else:
-        tg = TimeGrid(t_max=P.T, steps=steps)
+    grid, tg, phi = generation_setup(P, generations, P.T, points_per_block, steps)
     return grid, phi, tg
 
 
@@ -55,8 +51,9 @@ def test_time_grid_validation():
         TimeGrid(t_max=1.0, steps=3)  # odd
     with pytest.raises(ConfigurationError):
         TimeGrid(t_max=1.0, steps=2)  # too few
-    tg = TimeGrid.for_extent(1.0, 1000.0, max_steps=64)
-    assert tg.steps == 64
+    with pytest.raises(ResourceError, match="--time-steps"):
+        TimeGrid.for_extent(1.0, 1000.0)  # needs 1.6e7 steps
+    assert TimeGrid.for_extent(1.0, 16.0).steps == picard.MAX_TIME_STEPS  # needs exactly the cap
     assert TimeGrid.for_extent(1e-9, 1.0).steps == 4
 
 
