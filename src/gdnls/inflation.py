@@ -122,7 +122,10 @@ class ConditionReport:
 def check_conditions(
     params: ParameterSet, n: int, margin: float = DEFAULT_MARGIN
 ) -> ConditionReport:
-    """Evaluate conditions (i)-(vi) numerically with the given margin factor."""
+    """Evaluate conditions (i)-(vi) numerically with the given margin factor;
+    n < 1 is a ConfigurationError."""
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1 (got {n}): condition (i) asks N^s R A^(1/2) << 1/n")
     s, N, A, R, T = params.s, params.N, params.A, params.R, params.T
     weight = f_s(s, A)
     pairs = {

@@ -52,6 +52,16 @@ bucket is read at every residue, each at its offset in [-half, L - half).
 Edge test: mass at |offset| >= half - 1 above CLIP_TOL of the term's peak,
 both read over the buckets' intervals, raises an AccuracyError naming the
 term and the xi-interval that overflowed.
+
+Symmetry classes: slots of the same kind commute, J's two plain slots and
+K's plain slots 1/3/5 and conjugate slots 2/4, so the trees' terms repeat
+(generation (1,1) indexes 8 trees but 4 distinct terms).  Every term is put
+into a canonical slot order, each set of same-kind slots sorted by a key
+read from the operands' stored columns (block count, column count, first
+column; ties keep the given order), and terms with the same canonical
+operands form one class.  A class is folded, read out, edge-tested and
+closed in time once; its product is added once per member.  The key reads
+no object identity, so a permuted call gives the bits of the canonical one.
 """
 
 from __future__ import annotations
@@ -227,6 +237,21 @@ def _cover(intervals) -> np.ndarray:
 _SLOT_KINDS = {3: ("plain", "plain", "derivative"), 5: ("plain", "conj", "plain", "conj", "plain")}
 
 
+def _canonical(term: tuple, blocks: dict) -> tuple:
+    """The term with each set of same-kind slots sorted by the key of the
+    module docstring (`blocks` maps id(operand) to its blocks); a stable
+    sort, so ties keep the given order."""
+    kinds, term = _SLOT_KINDS[len(term)], list(term)
+    for kind in dict.fromkeys(kinds):
+        at = [i for i, k in enumerate(kinds) if k == kind]
+        ordered = sorted(
+            (term[i] for i in at), key=lambda v: (len(blocks[id(v)]), v.columns.size, int(v.columns[0]))
+        )
+        for i, v in zip(at, ordered):
+            term[i] = v
+    return tuple(term)
+
+
 def _hull(blocks: list) -> list:
     """One block from the first block's start to the last block's stop."""
     return [(blocks[0][0], blocks[-1][1])]
@@ -372,14 +397,18 @@ def _accumulate(terms) -> SpaceTimeFunction:
     """Sum of the Duhamel products of a nonempty list of operand tuples, added
     in order: three operands give duhamel_J, five give duhamel_K.
 
-    Each term is a block product, in the layout and at the length fixed by
-    its own operands' blocks (see the module docstring).  Each distinct
-    operand (by identity) is split into blocks once, from its stored
-    columns, and transformed once per (kind, length, layout) and chunk of
-    time nodes, in one batched transform, shared by every term that takes
-    it.  A term's bits thus depend only on its own operands, and each term
-    is closed in time before it is added, so a multi-term call gives the
-    bits of the sum of single-term calls.
+    Each term is put into its canonical slot order (see the module
+    docstring), and the terms with the same canonical operands (by
+    identity) form one class.  Each class is a block product, in the layout
+    and at the length fixed by its own operands' blocks, folded, read out,
+    edge-tested and closed in time once.  Each distinct operand is split
+    into blocks once, from its stored columns, and transformed once per
+    (kind, length, layout) and chunk of time nodes, in one batched
+    transform, shared by every class that takes it.  A class's bits thus
+    depend only on its own operands' values, and its closed product is
+    added once per member term, in the terms' order (never scaled by the
+    member count), so a multi-term call gives the bits of the sum of
+    single-term calls.
     """
     operands = [v for term in terms for v in term]
     _check_compatible(*operands)
@@ -425,42 +454,47 @@ def _accumulate(terms) -> SpaceTimeFunction:
             for v, kind in zip(term, _SLOT_KINDS[len(term)])
         ]
 
-    live = [term for term in terms if all(blocks[id(v)] for v in term)]
-    hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], _SLOT_KINDS[len(term)], half) for term in live]
-    sizes = [_length([layout(v, hull) for v in term], half) for term, hull in zip(live, hulls)]
+    live = [_canonical(term, blocks) for term in terms if all(blocks[id(v)] for v in term)]
+    # one class per distinct canonical operand tuple, in order of first member
+    members = [tuple(map(id, term)) for term in live]
+    classes = list(dict(zip(members, live)).values())
+    hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], _SLOT_KINDS[len(term)], half) for term in classes]
+    sizes = [_length([layout(v, hull) for v in term], half) for term, hull in zip(classes, hulls)]
     chunk = max(1, CHUNK_POINTS // max(sizes, default=1))
-    reads = [None] * len(live)
+    reads = [None] * len(classes)
     for first in range(0, tg.steps + 1, chunk):
         rows = slice(first, first + chunk)
         spectra = {}
-        for n, (term, size, hull) in enumerate(zip(live, sizes, hulls)):
+        for n, (term, size, hull) in enumerate(zip(classes, sizes, hulls)):
             buckets = _fold(slots(term, size, hull, rows))
             if reads[n] is None:
                 reads[n] = _Readout(buckets, size, half, tg.steps + 1)
             reads[n].add(buckets, rows)
-    for term, read in zip(live, reads):
+    for term, read in zip(classes, reads):
         read.check_edges(term, grid.delta_xi)
 
-    # each term: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
-    # on the columns some term reaches
+    # each class: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
+    # on the columns some class reaches
     columns = _cover(span for read in reads for span in read.reach.values()) + half
     phase = np.exp(1j * np.outer(tg.times, grid.xi(columns) ** 2))
-    inner = []
-    for term, read in zip(live, reads):
+    closed = []
+    for read in reads:
         product = read.values
         if product.shape != phase.shape:
             product = np.zeros_like(phase)
             product[:, np.searchsorted(columns, read.columns)] = read.values
         product *= phase
-        inner.append((term, _cumulative_simpson(product, tg.dt)))
+        closed.append(_cumulative_simpson(product, tg.dt))
     outer = np.conjugate(phase, out=phase)
     weight = grid.delta_xi / (2 * np.pi)
-    total = np.zeros_like(outer)
-    for term, product in inner:
+    for term, product in zip(classes, closed):
         product *= outer
         # the convolution weight weight^(arity - 1) rides on the prefactor
         product *= -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
-        total += product
+    closed = dict(zip(dict.fromkeys(members), closed))
+    total = np.zeros_like(outer)
+    for member in members:
+        total += closed[member]
     return SpaceTimeFunction._on_columns(tg, grid, columns, total)
 
 

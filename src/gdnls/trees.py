@@ -3,8 +3,9 @@
 Each such tree indexes one multilinear term of the Picard expansion: a
 3-ary node stands for the cubic Duhamel operator (slot 3 conjugated and
 differentiated), a 5-ary node for the quintic one (slots 2 and 4
-conjugated).  Trees are planar: child order matters because the operator
-slots are not interchangeable.
+conjugated).  Trees are planar: child order matters because slots of
+different kinds are not interchangeable.  Slots of the same kind are, so
+distinct trees can index equal terms; picard evaluates each such class once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -178,24 +180,20 @@ def _enumerate(k: int, p: int) -> list[Tree]:
     ]
 
 
-@functools.lru_cache(maxsize=None)
 def count_trees(k: int, p: int) -> int:
-    """Number of ordered ternary-quinary trees in generation (k, p).
+    """Number of ordered ternary-quinary trees in generation (k, p); a
+    negative k or p is a ConfigurationError.
 
-    Uses the root-split recursion with Python's arbitrary-precision
-    integers, so no overflow is possible.
+    Such a tree has n = 3k + 5p + 1 nodes, of which 2k + 4p + 1 are leaves,
+    and by the cycle lemma (1/n of the arrangements of the node degrees in
+    a row read as a tree) there are n! / ((2k + 4p + 1)! k! p!) / n of them:
+    a closed form in Python's exact integers, with no recursion over root
+    splits and no overflow.
     """
-    if k == 0 and p == 0:
-        return 1
-    # plain loops: a generator expression would add frames to every level
-    # of the recursion, which runs k + p levels deep
-    total = 0
-    for split in root_splits(k, p):
-        prod = 1
-        for child in split:
-            prod *= count_trees(*child)
-        total += prod
-    return total
+    if k < 0 or p < 0:
+        raise ConfigurationError(f"generation (k={k}, p={p}) needs k >= 0 and p >= 0")
+    n = 3 * k + 5 * p + 1
+    return math.comb(n, k) * math.comb(n - k, p) // n
 
 
 def fitted_growth_constant(depth_cap: int) -> float:

@@ -302,6 +302,29 @@ def test_negative_generation_exit_2(capsys, argv):
     assert f"error:ConfigurationError:{argv[0]}" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_inflate_n_below_one_exit_2(capsys, monkeypatch, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("inflate set up a run for n < 1")
+
+    monkeypatch.setattr("gdnls.inflation.generation_setup", no_work)
+    code, out, err = run(
+        capsys,
+        "inflate", "--s", "-1", "--N", "64", "--delta", "1", "--j-max", "1", "--time-steps", "4",
+        "--n", n,
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:ConfigurationError:inflate" in err
+    assert "n must be >= 1" in err
+
+
+def test_trees_count_far_past_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "trees", "--count", "1200", "0")
+    assert code == 0
+    assert json.loads(out)["count"] > 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -224,6 +224,21 @@ def test_operators_match_pairwise_convolution_reference():
         assert np.linalg.norm(got.frames - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def test_permuted_same_kind_slots_give_the_same_bits():
+    """Slots of the same kind commute: J's plain slots 1-2, K's plain slots
+    1/3/5 and its conjugate slots 2/4.  Operands of 3, 1 and 2 blocks (phi
+    plus the radius-8 bump, the bump, phi) fold in one canonical order, so
+    a permuted call gives the bits of the unpermuted one."""
+    datum = _perturbed_datum()
+    tg = TimeGrid(t_max=P.T, steps=8)
+    bump = smooth_bump(datum.grid, 8.0, P.s)
+    a, b = free_frames(datum, tg), free_frames(bump, tg)
+    c = free_frames(SpectralFunction(datum.grid, datum.values - bump.values), tg)
+    assert not np.array_equal(a.columns, b.columns)
+    assert np.array_equal(duhamel_J(a, b, c).frames, duhamel_J(b, a, c).frames)
+    assert np.array_equal(duhamel_K(a, b, c, a, b).frames, duhamel_K(b, a, c, b, a).frames)
+
+
 def test_shared_transforms_give_the_bits_of_fresh_ones():
     grid, phi, tg = coarse_setup(steps=16)
     v, u = free_frames(phi, tg), free_frames(phi, tg)
@@ -564,12 +579,13 @@ def test_perturbed_levels_match_a_pairwise_recursion():
         assert err <= 1e-13 * np.linalg.norm(want[j].frames)
 
 
-def test_perturbed_levels_take_one_inverse_transform_per_term(monkeypatch):
+def test_perturbed_levels_take_one_inverse_transform_per_class(monkeypatch):
     """The levels of test_perturbed_levels_match_a_pairwise_recursion, which
     it checks against the pairwise chains: level-0 blocks of 31, 8 and 8
     columns at unequal starts, where block folds take up to 27 buckets a
-    term.  Every term of levels 1-3 takes its hull fold instead, one bucket
-    and one inverse transform."""
+    term.  Every symmetry class of levels 1-3 (the terms equal up to
+    permuting J's plain slots, K's plain slots or K's conjugate slots) takes
+    its hull fold instead, one bucket and one inverse transform."""
     calls, ifft = [], picard.ifft
 
     def spy(x, **kwargs):
@@ -578,8 +594,13 @@ def test_perturbed_levels_take_one_inverse_transform_per_term(monkeypatch):
 
     monkeypatch.setattr(picard, "ifft", spy)
     test_perturbed_levels_match_a_pairwise_recursion()
-    terms = sum(1 for j in range(1, 4) for arity in (5, 3) for _ in compositions(j - 1, arity))
-    assert len(calls) == terms == 31
+    terms = [(j, c) for j in range(1, 4) for arity in (5, 3) for c in compositions(j - 1, arity)]
+    classes = {
+        (j, tuple(sorted(c[0::2])), tuple(sorted(c[1::2]))) if len(c) == 5 else (j, tuple(sorted(c[:2])), c[2])
+        for j, c in terms
+    }
+    assert len(terms) == 31
+    assert len(calls) == len(classes) == 2 + 4 + 9
 
 
 def _spy_buckets(monkeypatch):

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from gdnls.trees import (
     enumerate_trees,
     fitted_growth_constant,
     leaf_signature,
+    root_splits,
     tree_from_json,
     tree_to_json,
     tree_stats,
@@ -24,6 +27,37 @@ def test_spot_counts():
     assert count_trees(0, 0) == 1
     assert count_trees(1, 0) == 1
     assert count_trees(0, 1) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _count_by_root_splits(k, p):
+    """Reference count: the root-split recursion, one product of child
+    counts per split."""
+    if k == 0 and p == 0:
+        return 1
+    total = 0
+    for split in root_splits(k, p):
+        prod = 1
+        for child in split:
+            prod *= _count_by_root_splits(*child)
+        total += prod
+    return total
+
+
+def test_count_matches_the_root_split_recursion():
+    """Every generation up to level 10, and each edge further out: ternary
+    trees up to k = 40, quinary ones up to p = 24 (the recursion's split
+    count grows too fast to take every k + p <= 40)."""
+    pairs = [(k, j - k) for j in range(11) for k in range(j + 1)]
+    pairs += [(k, 0) for k in range(11, 41)] + [(0, p) for p in range(11, 25)]
+    for k, p in pairs:
+        assert count_trees(k, p) == _count_by_root_splits(k, p), (k, p)
+
+
+def test_count_takes_no_recursion_at_depth():
+    """Far beyond the recursion limit, and fast: ternary trees are the
+    Fuss-Catalan numbers binom(3k, k) / (2k + 1)."""
+    assert count_trees(1200, 0) == math.comb(3600, 1200) // 2401
 
 
 def test_count_matches_enumeration_up_to_level_4():
