@@ -279,7 +279,13 @@ def _csv_cell(v) -> str:
 def _cmd_trees(args) -> dict:
     if args.count:
         k, p = args.count
-        return {"k": k, "p": p, "count": trees.count_trees(k, p)}
+        count, limit = trees.count_trees(k, p), sys.get_int_max_str_digits()
+        if limit and count >= 10**limit:
+            raise ResourceError(
+                f"trees: the count for ({k}, {p}) has {int(math.log10(count)) + 1} digits, more than "
+                f"the {limit} that sys.get_int_max_str_digits() lets Python print (0 lifts the limit)"
+            )
+        return {"k": k, "p": p, "count": count}
     if args.enumerate:
         k, p = args.enumerate
         forest = trees.enumerate_trees(k, p, **_given(args, "depth_cap"))

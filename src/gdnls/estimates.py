@@ -5,6 +5,10 @@ bounds up to constants), so every check is a ratio report: the left-hand
 side divided by the right-hand side with the unknown constant stripped.
 A report passes when its ratios stay below a fixed bound; sweeps over
 the frequency scale N belong to the caller.
+
+Lemmas 2.5, 2.6 and 2.10 bound a generation at every stored time node: the
+norms of its (nodes, columns) stack reduce over the columns, one per node,
+and the supremum of the ratios is one reduction over the nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .picard import TimeGrid, xi_generation, xi_level
+from .picard import SpaceTimeFunction, TimeGrid, xi_generation, xi_level
 from .spectrum import (
     ParameterSet,
     SpectralFunction,
@@ -148,25 +152,31 @@ def generation_setup(
     return grid, tg, phi
 
 
-def _bounded(ratios: dict) -> bool:
-    return all(np.isfinite(v) and v <= RATIO_BOUND for v in ratios.values())
+def _ratio_report(lemma: str, params: dict, ratios: dict) -> EstimateReport:
+    """The report of a ratio check, passed when every ratio is at most RATIO_BOUND."""
+    passed = all(np.isfinite(v) and v <= RATIO_BOUND for v in ratios.values())
+    return EstimateReport(lemma=lemma, params=params, ratios=ratios, passed=passed, tolerance=RATIO_BOUND)
 
 
 def _generation_nodes(
     params: ParameterSet, k: int, p: int, points_per_block: int, time_steps: int | None
 ):
-    """Shared body of lemmas 2.5 and 2.6: (grid, (t, frame) of generation
-    (k, p) at every stored time node of [0, T], report params).  t = 0 is
-    skipped for k + p >= 1, where the bound t^(k+p) vanishes."""
+    """Shared body of lemmas 2.5 and 2.6: (the stack of generation (k, p) on
+    [0, T], the time of each of its nodes, report params)."""
     if k + p > 2:
         raise ConfigurationError("generation cap for verification is k + p <= 2")
-    grid, tg, phi = generation_setup(params, k + p, params.T, points_per_block, time_steps)
-    xi_kp = xi_generation(k, p, phi, tg)
-    nodes = ((t, xi_kp.at_index(i)) for i, t in enumerate(tg.times) if t > 0 or k + p == 0)
+    _, tg, phi = generation_setup(params, k + p, params.T, points_per_block, time_steps)
     report_params = {
         "s": params.s, "N": params.N, "A": params.A, "R": params.R, "k": k, "p": p, "t_max": params.T
     }
-    return grid, nodes, report_params
+    return xi_generation(k, p, phi, tg), tg.times, report_params
+
+
+def _sup(norms: np.ndarray, times: np.ndarray, j: int, scale: float) -> float:
+    """Largest norms / (t^j scale) over the nodes; t = 0 is skipped for
+    j >= 1, where the bound vanishes."""
+    keep = (times > 0) | (j == 0)
+    return float(np.max(norms[keep] / (times[keep] ** j * scale)))
 
 
 def verify_lemma25(
@@ -179,29 +189,19 @@ def verify_lemma25(
     """Ratios of the three Fourier-Lebesgue bounds for one generation (k, p):
     FL1 against t^(k+p) N^k (RA)^(2k+4p+1), FLinf and the derivative FLinf
     against their N^k / N^(k+1) counterparts."""
-    grid, nodes, report_params = _generation_nodes(params, k, p, points_per_block, time_steps)
+    xi_kp, times, report_params = _generation_nodes(params, k, p, points_per_block, time_steps)
     N, R, A = params.N, params.R, params.A
     j = k + p
-    sup1 = supinf = supder = 0.0
-    for t, frame in nodes:
-        tj = t**j
-        sup1 = max(sup1, fl_norm(frame, 1) / (tj * N**k * (R * A) ** (2 * k + 4 * p + 1)))
-        supinf = max(supinf, fl_norm(frame, math.inf) / (tj * N**k * (R * A) ** (2 * k + 4 * p) * R))
-        deriv = SpectralFunction._on_columns(
-            grid, frame.columns, 1j * grid.xi(frame.columns) * frame.amplitudes
-        )
-        supder = max(
-            supder,
-            fl_norm(deriv, math.inf) / (tj * N ** (k + 1) * (R * A) ** (2 * k + 4 * p) * R),
-        )
-    ratios = {"fl1": sup1, "fl_inf": supinf, "fl_inf_derivative": supder}
-    return EstimateReport(
-        lemma="2.5",
-        params=report_params,
-        ratios=ratios,
-        passed=_bounded(ratios),
-        tolerance=RATIO_BOUND,
-    )
+    xi = xi_kp.grid.xi(xi_kp.columns)
+    deriv = SpaceTimeFunction._on_columns(xi_kp.time_grid, xi_kp.grid, xi_kp.columns, 1j * xi * xi_kp.values)
+    ratios = {
+        "fl1": _sup(fl_norm(xi_kp, 1), times, j, N**k * (R * A) ** (2 * k + 4 * p + 1)),
+        "fl_inf": _sup(fl_norm(xi_kp, math.inf), times, j, N**k * (R * A) ** (2 * k + 4 * p) * R),
+        "fl_inf_derivative": _sup(
+            fl_norm(deriv, math.inf), times, j, N ** (k + 1) * (R * A) ** (2 * k + 4 * p) * R
+        ),
+    }
+    return _ratio_report("2.5", report_params, ratios)
 
 
 def verify_lemma26(
@@ -212,26 +212,11 @@ def verify_lemma26(
     time_steps: int | None = None,
 ) -> EstimateReport:
     """H^s bound for one generation against f_s(A) t^(k+p) N^k (RA)^(2k+4p) R."""
-    _, nodes, report_params = _generation_nodes(params, k, p, points_per_block, time_steps)
+    xi_kp, times, report_params = _generation_nodes(params, k, p, points_per_block, time_steps)
     N, R, A = params.N, params.R, params.A
-    j = k + p
-    weight = f_s(params.s, A)
-    sup = 0.0
-    for t, frame in nodes:
-        tj = t**j
-        sup = max(
-            sup,
-            sobolev_norm(frame, params.s)
-            / (weight * tj * N**k * (R * A) ** (2 * k + 4 * p) * R),
-        )
-    ratios = {"h_s": sup}
-    return EstimateReport(
-        lemma="2.6",
-        params=report_params,
-        ratios=ratios,
-        passed=_bounded(ratios),
-        tolerance=RATIO_BOUND,
-    )
+    scale = f_s(params.s, A) * N**k * (R * A) ** (2 * k + 4 * p) * R
+    ratios = {"h_s": _sup(sobolev_norm(xi_kp, params.s), times, k + p, scale)}
+    return _ratio_report("2.6", report_params, ratios)
 
 
 def verify_prop29(
@@ -290,17 +275,6 @@ def verify_lemma210(
     perturbed = phi + psi_res
     base = xi_level(j, phi, tg)
     shifted = xi_level(j, perturbed, tg)
-    psi_l2 = sobolev_norm(psi_res, 0.0)
-    sup = 0.0
-    # node 0 is t = 0, where both sides vanish
-    for i, t in enumerate(tg.times[1:], start=1):
-        diff = shifted.at_index(i) - base.at_index(i)
-        sup = max(sup, sobolev_norm(diff, 0.0) / (psi_l2 * (t * R**4 * A**4) ** j))
-    ratios = {"l2_difference": sup}
-    return EstimateReport(
-        lemma="2.10",
-        params={"s": params.s, "N": N, "A": A, "R": R, "j": j, "t_max": params.T},
-        ratios=ratios,
-        passed=_bounded(ratios),
-        tolerance=RATIO_BOUND,
-    )
+    scale = sobolev_norm(psi_res, 0.0) * (R**4 * A**4) ** j
+    ratios = {"l2_difference": _sup(sobolev_norm(shifted - base, 0.0), tg.times, j, scale)}
+    return _ratio_report("2.10", {"s": params.s, "N": N, "A": A, "R": R, "j": j, "t_max": params.T}, ratios)

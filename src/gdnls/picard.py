@@ -53,6 +53,12 @@ Edge test: mass at |offset| >= half - 1 above CLIP_TOL of the term's peak,
 both read over the buckets' intervals, raises an AccuracyError naming the
 term and the xi-interval that overflowed.
 
+Time closure: a class's product is multiplied by exp(i t xi^2), integrated by
+cumulative Simpson and multiplied by exp(-i t xi^2).  The time grid is
+uniform, so the phase rows take one exponential per column, z = exp(i dt
+xi^2): row n is row n - 1 times z, which drifts from exp(i t xi^2) by
+rounding that grows with n (2.3e-13 at the step cap).
+
 Symmetry classes: slots of the same kind commute, J's two plain slots and
 K's plain slots 1/3/5 and conjugate slots 2/4, so the trees' terms repeat
 (generation (1,1) indexes 8 trees but 4 distinct terms).  Every term is put
@@ -176,6 +182,9 @@ class SpaceTimeFunction:
         # a copy, so that the frame does not keep the whole stack alive
         return SpectralFunction._on_columns(self.grid, self.columns, self.values[i].copy())
 
+    # the stored stack under SpectralFunction's name: a norm gives one value per node
+    amplitudes = property(lambda self: self.values)
+
     @property
     def final(self) -> SpectralFunction:
         return self.at_index(self.time_grid.steps)
@@ -184,6 +193,10 @@ class SpaceTimeFunction:
         _check_compatible(self, other)
         columns, values = _sum_on_columns([(self.columns, self.values), (other.columns, other.values)])
         return SpaceTimeFunction._on_columns(self.time_grid, self.grid, columns, values)
+
+    def __sub__(self, other: "SpaceTimeFunction") -> "SpaceTimeFunction":
+        # a + (-b) rounds as a - b
+        return self + SpaceTimeFunction._on_columns(other.time_grid, other.grid, other.columns, -other.values)
 
 
 def _check_compatible(*fns: SpaceTimeFunction) -> None:
@@ -200,6 +213,17 @@ def free_frames(phi: SpectralFunction, tg: TimeGrid) -> SpaceTimeFunction:
     columns."""
     phase = np.exp(-1j * np.outer(tg.times, phi.grid.xi(phi.columns) ** 2))
     return SpaceTimeFunction._on_columns(tg, phi.grid, phi.columns, phase * phi.amplitudes)
+
+
+def _phase_rows(tg: TimeGrid, xi2: np.ndarray) -> np.ndarray:
+    """exp(i t xi2) at every time node of the uniform grid: row n is row
+    n - 1 times exp(i dt xi2), one exponential per column."""
+    step = np.exp(1j * tg.dt * xi2)
+    phase = np.empty((tg.steps + 1, xi2.size), dtype=np.complex128)
+    phase[0] = 1
+    for n in range(1, tg.steps + 1):
+        np.multiply(phase[n - 1], step, out=phase[n])
+    return phase
 
 
 def _blocks(columns: np.ndarray) -> list[tuple[int, int]]:
@@ -432,9 +456,11 @@ def _accumulate(terms) -> SpaceTimeFunction:
                 for row, (start, stop) in zip(stack, runs):
                     sel = slice(*np.searchsorted(v.columns, (start, stop)))
                     columns = v.columns[sel]
-                    row[:, columns - start] = values[:, sel]
+                    # a run with no gap is written through a slice
+                    at = slice(0, stop - start) if columns.size == stop - start else columns - start
+                    row[:, at] = values[:, sel]
                     if kind == "derivative":
-                        row[:, columns - start] *= 1j * grid.xi(columns)
+                        row[:, at] *= 1j * grid.xi(columns)
                 spec = fft(stack, axis=-1, overwrite_x=True)
                 spectra[source] = np.conj(spec, out=spec) if kind == "derivative" else spec
             if kind == "conj":
@@ -476,7 +502,7 @@ def _accumulate(terms) -> SpaceTimeFunction:
     # each class: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
     # on the columns some class reaches
     columns = _cover(span for read in reads for span in read.reach.values()) + half
-    phase = np.exp(1j * np.outer(tg.times, grid.xi(columns) ** 2))
+    phase = _phase_rows(tg, grid.xi(columns) ** 2)
     closed = []
     for read in reads:
         product = read.values

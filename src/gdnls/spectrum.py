@@ -235,22 +235,31 @@ def smooth_bump(grid: FrequencyGrid, radius: float, s: float) -> SpectralFunctio
     return SpectralFunction._on_columns(grid, f.columns, f.amplitudes * (1.0 / norm))
 
 
-def _trapezoid(f: SpectralFunction, y: np.ndarray) -> float:
-    """Trapezoid rule over the grid of y on f's columns, 0 elsewhere."""
+def _per_node(x):
+    """A float for a frame's 0-d reduction, the array of a stack's."""
+    return x if np.ndim(x) else float(x)
+
+
+def _trapezoid(f, y: np.ndarray):
+    """Trapezoid rule over the grid of y (f's columns on its last axis), 0 elsewhere."""
     ends = (f.columns == 0) | (f.columns == f.grid.count - 1)
-    return f.grid.delta_xi * (np.sum(y) - 0.5 * np.sum(y[ends]))
+    return f.grid.delta_xi * (np.sum(y, axis=-1) - 0.5 * np.sum(y[..., ends], axis=-1))
 
 
-def sobolev_norm(f: SpectralFunction, s: float) -> float:
-    w = (1.0 + f.grid.xi(f.columns) ** 2) ** s
-    return float(np.sqrt(_trapezoid(f, w * np.abs(f.amplitudes) ** 2) / (2 * np.pi)))
+def sobolev_norm(f, s: float):
+    """H^s norm of a SpectralFunction, or one per node of a SpaceTimeFunction:
+    every norm reduces over the last (column) axis."""
+    y = np.abs(f.amplitudes)
+    y *= y
+    y *= (1.0 + f.grid.xi(f.columns) ** 2) ** s
+    return _per_node(np.sqrt(_trapezoid(f, y) / (2 * np.pi)))
 
 
-def fl_norm(f: SpectralFunction, p: float) -> float:
+def fl_norm(f, p: float):
     if p == 1:
-        return float(_trapezoid(f, np.abs(f.amplitudes)))
+        return _per_node(_trapezoid(f, np.abs(f.amplitudes)))
     if p == math.inf:
-        return float(np.max(np.abs(f.amplitudes), initial=0.0))
+        return _per_node(np.max(np.abs(f.amplitudes), axis=-1, initial=0.0))
     raise ConfigurationError("only p = 1 and p = inf are supported")
 
 

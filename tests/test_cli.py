@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -323,6 +324,35 @@ def test_trees_count_far_past_the_recursion_limit(capsys):
     code, out, _ = run(capsys, "trees", "--count", "1200", "0")
     assert code == 0
     assert json.loads(out)["count"] > 0
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_trees_count_past_the_printable_digits_exit_3(capsys):
+    """A count longer than sys.get_int_max_str_digits() cannot be printed:
+    a ResourceError naming its digits and the limit, not a ValueError."""
+    with _int_digit_limit(4300):
+        code, out, err = run(capsys, "trees", "--count", "6000", "0")
+    assert code == 3
+    assert out == ""
+    assert "error:ResourceError:trees" in err
+    assert "has 4970 digits, more than the 4300" in err
+
+
+def test_trees_count_prints_every_digit_without_a_limit(capsys):
+    with _int_digit_limit(0):
+        code, out, _ = run(capsys, "trees", "--count", "6000", "0")
+        digits = len(str(json.loads(out)["count"]))
+    assert code == 0
+    assert digits == 4970
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ from gdnls.estimates import (
     verify_prop29,
 )
 from gdnls.inflation import default_perturbation
-from gdnls.spectrum import ParameterSet, default_grid
+from gdnls.picard import xi_generation, xi_level
+from gdnls.spectrum import ParameterSet, SpectralFunction, default_grid, fl_norm, resample, sobolev_norm
 
 P = ParameterSet(s=-1.0, N=256.0, A=16.0, R=4.0, T=0.05 / 256.0**2)
 
@@ -187,3 +188,95 @@ def test_report_serialization():
     assert d["lemma"] == "2.9"
     assert d["passed"] is True
     assert "c" in d["ratios"]
+
+
+# The lemma checks as they ran before they reduced whole stacks: one frame
+# per stored time node, each normed on its own.  Kept as their oracle.
+
+
+def _generation_frames(params, k, p, points_per_block, time_steps):
+    _, tg, phi = estimates.generation_setup(params, k + p, params.T, points_per_block, time_steps)
+    xi_kp = xi_generation(k, p, phi, tg)
+    return [(t, xi_kp.at_index(i)) for i, t in enumerate(tg.times) if t > 0 or k + p == 0]
+
+
+def _lemma25_by_node(params, k, p, points_per_block, time_steps):
+    N, R, A = params.N, params.R, params.A
+    sup1 = supinf = supder = 0.0
+    for t, frame in _generation_frames(params, k, p, points_per_block, time_steps):
+        tj = t ** (k + p)
+        sup1 = max(sup1, fl_norm(frame, 1) / (tj * N**k * (R * A) ** (2 * k + 4 * p + 1)))
+        supinf = max(supinf, fl_norm(frame, math.inf) / (tj * N**k * (R * A) ** (2 * k + 4 * p) * R))
+        grid = frame.grid
+        deriv = SpectralFunction._on_columns(grid, frame.columns, 1j * grid.xi(frame.columns) * frame.amplitudes)
+        supder = max(supder, fl_norm(deriv, math.inf) / (tj * N ** (k + 1) * (R * A) ** (2 * k + 4 * p) * R))
+    return {"fl1": sup1, "fl_inf": supinf, "fl_inf_derivative": supder}
+
+
+def _lemma26_by_node(params, k, p, points_per_block, time_steps):
+    N, R, A = params.N, params.R, params.A
+    weight, sup = f_s(params.s, A), 0.0
+    for t, frame in _generation_frames(params, k, p, points_per_block, time_steps):
+        bound = weight * t ** (k + p) * N**k * (R * A) ** (2 * k + 4 * p) * R
+        sup = max(sup, sobolev_norm(frame, params.s) / bound)
+    return {"h_s": sup}
+
+
+def _lemma210_by_node(params, psi_pert, j, points_per_block, time_steps):
+    R, A = params.R, params.A
+    radius = float(np.max(np.abs(psi_pert.grid.xi(psi_pert.columns))))
+    grid, tg, phi = estimates.generation_setup(params, j, params.T, points_per_block, time_steps, radius)
+    psi_res = resample(psi_pert, grid)
+    base, shifted = xi_level(j, phi, tg), xi_level(j, phi + psi_res, tg)
+    psi_l2, sup = sobolev_norm(psi_res, 0.0), 0.0
+    for i, t in enumerate(tg.times[1:], start=1):
+        diff = shifted.at_index(i) - base.at_index(i)
+        sup = max(sup, sobolev_norm(diff, 0.0) / (psi_l2 * (t * R**4 * A**4) ** j))
+    return {"l2_difference": sup}
+
+
+def _assert_ratios_match(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert 0 < value < math.inf
+        assert got[key] == pytest.approx(value, rel=1e-14, abs=0), key
+
+
+def _params_at(N):
+    return ParameterSet(s=-1.0, N=N, A=16.0, R=4.0, T=0.05 / N**2)
+
+
+@pytest.mark.parametrize("N", [128.0, 256.0])
+@pytest.mark.parametrize("k, p", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+def test_lemma25_26_stack_ratios_match_the_per_node_loops(N, k, p):
+    params = _params_at(N)
+    _assert_ratios_match(verify_lemma25(params, k, p).ratios, _lemma25_by_node(params, k, p, 16, None))
+    _assert_ratios_match(verify_lemma26(params, k, p).ratios, _lemma26_by_node(params, k, p, 16, None))
+
+
+@pytest.mark.parametrize("N", [128.0, 256.0])
+@pytest.mark.parametrize("j", [1, 2])
+def test_lemma210_stack_ratio_matches_the_per_node_loop(N, j):
+    params = _params_at(N)
+    bump = default_perturbation(default_grid(params, generations=1, points_per_block=16), params.s)
+    got = verify_lemma210(params, bump, j, points_per_block=16, time_steps=32).ratios
+    _assert_ratios_match(got, _lemma210_by_node(params, bump, j, 16, 32))
+
+
+def test_stack_norms_are_their_frames_norms():
+    """A stack's norms, one per node, are the norms of its frames; a frame's
+    norm is a float."""
+    _, tg, phi = estimates.generation_setup(P, 2, P.T, 16, 16)
+    stack = xi_generation(1, 1, phi, tg)
+    frames = [stack.at_index(i) for i in range(tg.steps + 1)]
+    norms = {
+        "h^-1": lambda f: sobolev_norm(f, -1.0),
+        "l2": lambda f: sobolev_norm(f, 0.0),
+        "fl1": lambda f: fl_norm(f, 1),
+        "fl_inf": lambda f: fl_norm(f, math.inf),
+    }
+    for name, norm in norms.items():
+        per_frame = [norm(frame) for frame in frames]
+        assert all(type(value) is float for value in per_frame), name
+        assert per_frame[0] == 0 < per_frame[-1]
+        np.testing.assert_allclose(norm(stack), per_frame, rtol=1e-14, atol=0, err_msg=name)

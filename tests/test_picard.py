@@ -767,6 +767,29 @@ def test_sum_of_disjoint_supports_is_the_dense_sum():
     assert (v + SpaceTimeFunction(tg, grid, -v.frames)).columns.size == 0
 
 
+def test_difference_of_stacks_is_the_dense_difference():
+    grid, phi, tg = coarse_setup(steps=8)
+    low = SpectralFunction(grid, np.where(grid.xis < 2 * P.N + 1, phi.values, 0))
+    v, w = free_frames(phi, tg), free_frames(low, tg)
+    assert w.columns.size < v.columns.size
+    diff = w - v
+    assert np.array_equal(diff.frames, w.frames - v.frames)
+    _assert_stored_on_support(diff)
+    assert (v - v).columns.size == 0
+
+
+@pytest.mark.parametrize("steps, radians_per_step", [(picard.MAX_TIME_STEPS, 1 / 16), (2048, 1.0)])
+def test_phase_rows_keep_to_the_exponential(steps, radians_per_step):
+    """The closure's phase rows, each the row before times exp(i dt xi^2),
+    drift from exp(i t xi^2) by at most 1e-12 on every node: at the step
+    cap with the 1/16 rad per step that TimeGrid.for_extent allows, and at
+    an explicit step count with 1 rad per step."""
+    tg = TimeGrid(t_max=P.T, steps=steps)
+    xi2 = np.linspace(0.0, radians_per_step / tg.dt, 257)
+    want = np.exp(1j * np.outer(tg.times, xi2))
+    assert np.max(np.abs(picard._phase_rows(tg, xi2) - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("N", [2.0**30, 2.0**44])
 def test_quintic_against_direct_oracle_at_large_n(N):
     """phi's K term against the direct lattice sum far beyond a dense grid:
