@@ -96,7 +96,7 @@ def _data_flags(p: argparse.ArgumentParser) -> None:
 # flags taken by some subcommands only: each subcommand gets the ones it reads
 _SHARED_FLAGS = {
     "T": dict(type=float, help="default 0.05 / N^2"),
-    "margin": dict(type=float, help="operational factor for 'much less/greater than'"),
+    "margin": dict(type=float, help="operational factor (>= 1) for 'much less/greater than'"),
     "points-per-block": dict(type=int, help="frequency grid points per block width A"),
     "time-steps": dict(type=int, help="override the time-quadrature step count"),
 }
@@ -307,7 +307,6 @@ def _cmd_norms(args) -> dict:
 
 
 def _cmd_iterate(args) -> dict:
-    _require(args, "k", "p")
     params = _params_from(args)
     ppb = 16 if args.points_per_block is None else args.points_per_block
     _, tg, phi = estimates.generation_setup(params, args.k + args.p, params.T, ppb, args.time_steps)

@@ -14,7 +14,7 @@ and the supremum of the ratios is one reduction over the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -77,14 +77,7 @@ class EstimateReport:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "ratios": self.ratios,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def f_s(s: float, A: float) -> float:
@@ -219,6 +212,11 @@ def verify_lemma26(
     return _ratio_report("2.6", report_params, ratios)
 
 
+def _check_margin(margin: float) -> None:
+    if not margin >= 1:  # also refuses NaN
+        raise ConfigurationError(f"margin must be >= 1 (got {margin}): a smaller factor passes conditions that fail")
+
+
 def verify_prop29(
     params: ParameterSet,
     t: float,
@@ -227,7 +225,8 @@ def verify_prop29(
     time_steps: int | None = None,
 ) -> EstimateReport:
     """Measured constant in the first-iterate lower bound:
-    c = ||Xi_1(phi)(t)||_{H^s} / (f_s(A) t R^5 A^4)."""
+    c = ||Xi_1(phi)(t)||_{H^s} / (f_s(A) t R^5 A^4); a margin below 1 is a ConfigurationError."""
+    _check_margin(margin)
     N, R, A = params.N, params.R, params.A
     if t <= 0:
         raise ConfigurationError("the lower bound needs t > 0")

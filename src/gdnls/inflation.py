@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimates import DEFAULT_MARGIN, f_s, generation_setup
+from .estimates import DEFAULT_MARGIN, _check_margin, f_s, generation_setup
 from .picard import level_summary, series_levels
 from .solver import TorusConfig, solve_gdnls, spectrum_from_state, state_from_spectrum
 from .spectrum import ParameterSet, SpectralFunction, resample, smooth_bump, sobolev_norm
@@ -123,9 +123,10 @@ def check_conditions(
     params: ParameterSet, n: int, margin: float = DEFAULT_MARGIN
 ) -> ConditionReport:
     """Evaluate conditions (i)-(vi) numerically with the given margin factor;
-    n < 1 is a ConfigurationError."""
+    n < 1 or a margin below 1 is a ConfigurationError."""
     if n < 1:
         raise ConfigurationError(f"n must be >= 1 (got {n}): condition (i) asks N^s R A^(1/2) << 1/n")
+    _check_margin(margin)
     s, N, A, R, T = params.s, params.N, params.A, params.R, params.T
     weight = f_s(s, A)
     pairs = {

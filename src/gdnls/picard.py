@@ -43,11 +43,11 @@ L (fold multiplications + (final buckets + forward blocks) log2 L).  The hull
 blocks.  The choice reads only the term's own operands.
 
 Nothing wraps: L = next_fast_len(sum over slots of (widest block - 1) + 1)
-holds any linear convolution of one block per slot.  L is capped at
-6 half + 3, which only slots of grid-wide blocks reach: a 5-fold product of
-rows on |offset| <= half reaches 5 half, and at length 6 half + 3 its
-wraparound lands beyond the kept window and its two outermost cells; such a
-bucket is read at every residue, each at its offset in [-half, L - half).
+holds any linear convolution of one block per slot, so every bucket is read
+at its true offsets.  On a grid from default_grid a term's output hull, the
+signed sum of its operands' hulls, lies inside the grid by the reach rule
+there (level g of a datum in [lo, hi] stays within hi + 2g (hi - lo)); no
+block is wider than its operand's hull, so L <= next_fast_len(2 half + 1).
 
 Edge test: mass at |offset| >= half - 1 above CLIP_TOL of the term's peak,
 both read over the buckets' intervals, raises an AccuracyError naming the
@@ -281,14 +281,13 @@ def _hull(blocks: list) -> list:
     return [(blocks[0][0], blocks[-1][1])]
 
 
-def _length(slot_blocks: list, half: int) -> int:
+def _length(slot_blocks: list) -> int:
     """The transform length of a term whose slots hold these blocks: the
     length rule of the module docstring."""
-    span = 1 + sum(max(b - a - 1 for a, b in blocks) for blocks in slot_blocks)
-    return next_fast_len(min(span, 6 * half + 3))
+    return next_fast_len(1 + sum(max(b - a - 1 for a, b in blocks) for blocks in slot_blocks))
 
 
-def _work(slot_blocks: list, kinds, half: int) -> float:
+def _work(slot_blocks: list, kinds) -> float:
     """Counted work of folding these blocks, as the module docstring prices
     it: _fold run on the summed block offsets alone."""
     signs = [1 if kind == "plain" else -1 for kind in kinds]
@@ -296,13 +295,13 @@ def _work(slot_blocks: list, kinds, half: int) -> float:
     for blocks, sign in zip(slot_blocks[1:], signs[1:]):
         products += len(keys) * len(blocks)
         keys = {key + sign * a for key in keys for a, _ in blocks}
-    size = _length(slot_blocks, half)
+    size = _length(slot_blocks)
     return size * (products + (len(keys) + sum(map(len, slot_blocks))) * math.log2(size))
 
 
-def _hull_is_cheaper(slot_blocks: list, kinds, half: int) -> bool:
+def _hull_is_cheaper(slot_blocks: list, kinds) -> bool:
     """Whether a term whose slots hold these blocks takes its hull fold."""
-    return _work([_hull(blocks) for blocks in slot_blocks], kinds, half) < _work(slot_blocks, kinds, half)
+    return _work([_hull(blocks) for blocks in slot_blocks], kinds) < _work(slot_blocks, kinds)
 
 
 def _fold(slots: list) -> dict:
@@ -337,18 +336,13 @@ class _Readout:
     def __init__(self, buckets: dict, size: int, half: int, nodes: int):
         self.half = half
         self.mags = {base: np.zeros(size) for base in buckets}
-        # per bucket: the residues of its true support and their offsets (a
-        # capped bucket is read at every residue, at its offset in
-        # [-half, size - half)), and the window offsets [first, last] it writes
-        self.cells, self.capped, self.reach = {}, {}, {}
+        # per bucket: the residues of its true support and their offsets, and
+        # the window offsets [first, last] it writes
+        self.cells, self.reach = {}, {}
         for base, (_, lo, hi) in buckets.items():
-            local = np.arange(lo, lo + min(hi - lo + 1, size))
-            out = base + local
-            if hi - lo >= size:
-                out = (out + half) % size - half
-                self.capped[base] = base + lo, base + hi
-            self.cells[base] = local % size, out
-            first, last = max(out.min(), -half), min(out.max(), half)
+            local = np.arange(lo, hi + 1)
+            self.cells[base] = local % size, base + local
+            first, last = max(base + lo, -half), min(base + hi, half)
             if first <= last:
                 self.reach[base] = first, last
         # the grid indices the buckets write; per bucket, the first of its
@@ -375,9 +369,7 @@ class _Readout:
                 self.values[rows, at + head.shape[1] : at + count] += full[:, : count - head.shape[1]]
 
     def check_edges(self, term, delta_xi: float) -> None:
-        """The edge test of the module docstring.  The mass of a capped
-        bucket may sit at any alias of its residues, so an overflow there is
-        named by the bucket's true interval."""
+        """The edge test of the module docstring."""
         peaks = {base: self.mags[base][residues] for base, (residues, _) in self.cells.items()}
         peak = max(p.max() for p in peaks.values())
         edge, named = 0.0, []
@@ -386,7 +378,7 @@ class _Readout:
             over = out[far & (peaks[base] > CLIP_TOL * peak)]
             if over.size:
                 edge = max(edge, peaks[base][far].max())
-                named += self.capped.get(base, (over.min(), over.max()))
+                named += over.min(), over.max()
         if named:
             raise AccuracyError(
                 f"{'J' if len(term) == 3 else 'K'} product clipped at the grid edge: relative mass "
@@ -484,8 +476,8 @@ def _accumulate(terms) -> SpaceTimeFunction:
     # one class per distinct canonical operand tuple, in order of first member
     members = [tuple(map(id, term)) for term in live]
     classes = list(dict(zip(members, live)).values())
-    hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], _SLOT_KINDS[len(term)], half) for term in classes]
-    sizes = [_length([layout(v, hull) for v in term], half) for term, hull in zip(classes, hulls)]
+    hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], _SLOT_KINDS[len(term)]) for term in classes]
+    sizes = [_length([layout(v, hull) for v in term]) for term, hull in zip(classes, hulls)]
     chunk = max(1, CHUNK_POINTS // max(sizes, default=1))
     reads = [None] * len(classes)
     for first in range(0, tg.steps + 1, chunk):

@@ -16,7 +16,7 @@ norms allocates or scans the grid's count of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -181,7 +181,7 @@ class NormReport:
     fl_inf: float
 
     def as_dict(self) -> dict:
-        return {"h_s": self.h_s, "l2": self.l2, "fl1": self.fl1, "fl_inf": self.fl_inf}
+        return asdict(self)
 
 
 def _around(grid: FrequencyGrid, lo: float, hi: float) -> np.ndarray:

@@ -10,7 +10,6 @@ distinct trees can index equal terms; picard evaluates each such class once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -166,18 +165,18 @@ def enumerate_trees(k: int, p: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[
         raise ResourceError(
             f"enumeration of generation (k={k}, p={p}) exceeds depth cap {depth_cap}"
         )
-    return list(_enumerate(k, p))
+    return _enumerate(k, p, {(0, 0): [LEAF]})
 
 
-@functools.lru_cache(maxsize=None)
-def _enumerate(k: int, p: int) -> list[Tree]:
-    if k == 0 and p == 0:
-        return [LEAF]
-    return [
-        Tree(children=combo)
-        for split in root_splits(k, p)
-        for combo in itertools.product(*(_enumerate(*child) for child in split))
-    ]
+def _enumerate(k: int, p: int, table: dict) -> list[Tree]:
+    """Generation (k, p) from the per-call table of lower generations, filled on demand."""
+    if (k, p) not in table:
+        table[(k, p)] = [
+            Tree(children=combo)
+            for split in root_splits(k, p)
+            for combo in itertools.product(*(_enumerate(*child, table) for child in split))
+        ]
+    return table[(k, p)]
 
 
 def count_trees(k: int, p: int) -> int:

@@ -320,6 +320,33 @@ def test_inflate_n_below_one_exit_2(capsys, monkeypatch, n):
     assert "n must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["inflate", "--s", "-1", "--N", "64", "--delta", "1", "--j-max", "1", "--time-steps", "4",
+             "--no-perturbation", "--margin", margin]
+            for margin in ("0", "-1", "0.5")
+        ),
+        ["verify", "--lemma", "2.9", "--N", "256", "--margin", "0"],
+    ],
+)
+def test_margin_below_one_exit_2(capsys, monkeypatch, argv):
+    """A margin factor below 1 would pass conditions that fail, so it is
+    refused, naming the value, before any run is set up."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} set up a run for a margin below 1")
+
+    for module in ("inflation", "estimates"):
+        monkeypatch.setattr(f"gdnls.{module}.generation_setup", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error:ConfigurationError:{argv[0]}" in err
+    assert f"margin must be >= 1 (got {float(argv[-1])})" in err
+
+
 def test_trees_count_far_past_the_recursion_limit(capsys):
     code, out, _ = run(capsys, "trees", "--count", "1200", "0")
     assert code == 0

@@ -245,8 +245,8 @@ def test_case1_sweep_keeps_the_block_fold(monkeypatch):
     and must stay one."""
     hull_is_cheaper, choices = picard._hull_is_cheaper, []
 
-    def spy(slot_blocks, kinds, half):
-        choices.append((tuple(map(len, slot_blocks)), hull_is_cheaper(slot_blocks, kinds, half)))
+    def spy(slot_blocks, kinds):
+        choices.append((tuple(map(len, slot_blocks)), hull_is_cheaper(slot_blocks, kinds)))
         return choices[-1][1]
 
     monkeypatch.setattr(picard, "_hull_is_cheaper", spy)

@@ -264,8 +264,8 @@ def test_transform_length_from_support(monkeypatch):
     """phi-only products on the generation-1 grid take next_fast_len of the
     length of the linear convolution of one block per slot, the summed block
     widths less the arity - 1 overlaps, far under 6 half + 3.  With operands
-    that fill the grid a quintic term takes the cap 6 half + 3 and a cubic
-    one its span 6 half + 1."""
+    that fill the grid a term takes its whole span: 10 half + 1 for a
+    quintic one and 6 half + 1 for a cubic one."""
     grid, phi, tg = coarse_setup(steps=4)
     half = (grid.count - 1) // 2
     nonzero = np.flatnonzero(phi.values)
@@ -287,10 +287,51 @@ def test_transform_length_from_support(monkeypatch):
     w = free_frames(gauss, tg)
     lengths.clear()
     duhamel_K(*[w] * 5)
-    assert set(lengths) == {next_fast_len(6 * half + 3)}
+    assert set(lengths) == {next_fast_len(10 * half + 1)}
     lengths.clear()
     duhamel_J(*[w] * 3)
     assert set(lengths) == {next_fast_len(6 * half + 1)}
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_series_transforms_fit_in_the_grid(monkeypatch, perturbed):
+    """On a generation_setup grid a term's output hull lies inside the grid
+    (the reach rule of default_grid), so no forward transform of levels 1-3,
+    of phi or of phi plus the radius-8 bump, is longer than
+    next_fast_len(2 half + 1)."""
+    grid, tg, phi = generation_setup(P, 3, P.T, 8, 8, psi_radius=8.0)
+    if perturbed:
+        phi = SpectralFunction(grid, phi.values + smooth_bump(grid, 8.0, P.s).values)
+    lengths = _spy_fft_lengths(monkeypatch)
+    series_levels(phi, tg, 3)
+    assert lengths
+    assert max(lengths) <= next_fast_len(grid.count)
+
+
+def test_generation_transforms_fit_in_the_grid(monkeypatch):
+    """xi_generation(k, p) for every k + p <= 2 on the grid generation_setup
+    gives that level: no forward transform is longer than
+    next_fast_len(2 half + 1)."""
+    lengths = _spy_fft_lengths(monkeypatch)
+    for k, p in [(k, j - k) for j in range(3) for k in range(j + 1)]:
+        grid, tg, phi = generation_setup(P, k + p, P.T, 8, 8)
+        lengths.clear()
+        xi_generation(k, p, phi, tg)
+        assert bool(lengths) == (k + p > 0)
+        assert max(lengths, default=0) <= next_fast_len(grid.count)
+
+
+def test_grid_filling_operands_match_the_pairwise_reference():
+    """A Gaussian nonzero on the whole grid, whose products take their whole
+    span: J and K against the pairwise convolution chains, which share no
+    fold or read-out code with them."""
+    grid, _, _ = coarse_setup()
+    tg = TimeGrid(t_max=P.T, steps=8)
+    gauss = SpectralFunction(grid, np.exp(-((grid.xis / 20.0) ** 2)).astype(np.complex128))
+    w = free_frames(gauss, tg)
+    for op, reference, arity in ((duhamel_K, duhamel_K_reference, 5), (duhamel_J, duhamel_J_reference, 3)):
+        got, want = op(*[w] * arity), reference(*[w] * arity)
+        assert np.linalg.norm(got.frames - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])

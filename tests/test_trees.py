@@ -1,6 +1,8 @@
 import functools
+import gc
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +108,21 @@ def test_enumeration_order_deterministic():
     # 3-ary roots come first
     arities = [len(t.children) for t in a]
     assert arities == sorted(arities)
+
+
+def test_enumeration_holds_no_memory_after_the_result_is_dropped():
+    """The lower generations live in a per-call table, not a process-wide
+    cache: once the 23,751 trees of (0, 6) are dropped, they are freed."""
+    tracemalloc.start()
+    try:
+        forest = enumerate_trees(0, 6, depth_cap=6)
+        assert len(forest) == count_trees(0, 6) == 23_751
+        del forest
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 500_000
 
 
 def test_node_arity_validation():
