@@ -17,7 +17,7 @@ def main():
     grid, tg, phi = generation_setup(params, 1, params.T, points_per_block=8, time_steps=None)
 
     quintic = xi_generation(0, 1, phi, tg).final
-    oracle = first_iterate_quintic_exact(phi, params.T, grid=grid)
+    oracle = first_iterate_quintic_exact(phi, params.T)
     err = np.linalg.norm(quintic.values - oracle.values) / np.linalg.norm(oracle.values)
     print(f"quintic term vs direct-sum oracle: relative L2 error {err:.2e}")
 

@@ -122,9 +122,13 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
+def _apply_config(args: argparse.Namespace, subparser: argparse.ArgumentParser, argv: list[str]):
+    """The options with the config file's values given to the subcommand's
+    parser as flag text, placed before its command-line arguments `argv`:
+    argparse converts and checks them, and keeps an option's last value, so
+    flags win."""
     if not args.config:
-        return
+        return args
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -138,47 +142,34 @@ def _apply_config(args: argparse.Namespace, subparser: argparse.ArgumentParser) 
     unknown = set(cfg) - set(actions)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
     for key, value in cfg.items():
-        value = _config_value(actions[key], value)
-        # flags win: only fill values the command line did not set (an unset
-        # store_true flag reads False)
-        current = getattr(args, key)
-        if current is None or current is False:
-            setattr(args, key, value)
-
-
-def _config_value(action: argparse.Action, value):
-    """A config value converted as argparse converts the flag's own text:
-    through the flag's type, nargs and choices."""
-    flag = action.option_strings[0]
-    if action.nargs == 0:  # store_true
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"config value for {flag} must be true or false, got {value!r}")
-        return value
-    if action.nargs is None:
-        return _config_item(action, flag, value)
-    if not isinstance(value, list) or not value or action.nargs not in ("+", len(value)):
-        count = "one or more" if action.nargs == "+" else action.nargs
-        raise ConfigurationError(f"config value for {flag} must be a list of {count} values, got {value!r}")
-    return [_config_item(action, flag, item) for item in value]
-
-
-def _config_item(action: argparse.Action, flag: str, item):
-    if isinstance(item, str):
-        text = item
-    elif action.type is None:
-        raise ConfigurationError(f"config value for {flag} must be a string, got {item!r}")
-    else:
-        # a JSON number converts from its JSON text, as a flag from its own
-        # text: 16.0 is no int, and true is no number
-        text = json.dumps(item)
+        action = actions[key]
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # store_true: true is the bare flag, false nothing
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"config value for {flag} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
+            continue
+        if action.nargs is not None and not (isinstance(value, list) and action.nargs in ("+", len(value))):
+            count = "" if action.nargs == "+" else f" of {action.nargs} values"
+            raise ConfigurationError(f"config value for {flag} must be a JSON list{count}, got {value!r}")
+        if action.type is None and not isinstance(value, str):
+            raise ConfigurationError(f"config value for {flag} must be a string, got {value!r}")
+        # a JSON number is written as its JSON text, as a flag's own text:
+        # 16.0 is no int, and true is no number
+        texts = [v if isinstance(v, str) else json.dumps(v) for v in (value if action.nargs else [value])]
+        # a single value is one token, so that one such as -1 is never read as a flag
+        tokens += [flag, *texts] if action.nargs else [f"{flag}={texts[0]}"]
+    subparser.exit_on_error = False
     try:
-        converted = text if action.type is None else action.type(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"config value {item!r} is not valid for {flag}: {exc}") from exc
-    if action.choices is not None and converted not in action.choices:
-        raise ConfigurationError(f"config value {item!r} for {flag} is not one of {list(action.choices)}")
-    return converted
+        parsed, extra = subparser.parse_known_args([*tokens, *argv])
+    except argparse.ArgumentError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if extra:  # a list item that argparse reads as a flag no option has
+        raise ConfigurationError(f"config values that no flag takes: {' '.join(extra)}")
+    parsed.command = args.command
+    return parsed
 
 
 # the verify flags each lemma reads; any other one, set as a flag or as a
@@ -418,10 +409,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, subparsers[args.command])
+        args = _apply_config(args, subparsers[args.command], argv[argv.index(args.command) + 1:])
         if args.command == "verify":
             _check_lemma_flags(args)
         _apply_defaults(args)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResourceError
 from .estimates import DEFAULT_MARGIN, _check_margin, f_s, generation_setup
 from .picard import level_summary, series_levels
 from .solver import TorusConfig, solve_gdnls, spectrum_from_state, state_from_spectrum
@@ -231,7 +231,7 @@ def _solver_final(v0, params, modes_cap):
     need = 3.0 * grid.xi_max / grid.delta_xi
     modes = 1 << max(3, math.ceil(math.log2(need)))
     if modes > modes_cap:
-        raise ConfigurationError(
+        raise ResourceError(
             f"solver validation needs {modes} modes (> cap {modes_cap}); "
             "use the series method at this scale"
         )

@@ -80,7 +80,7 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
 from .spectrum import FrequencyGrid, SpectralFunction, _nonzero_columns, _sum_on_columns, sobolev_norm
-from .trees import Tree, compositions, root_splits
+from .trees import SLOT_KINDS, Tree, compositions, root_splits
 
 __all__ = [
     "TimeGrid",
@@ -256,16 +256,11 @@ def _cover(intervals) -> np.ndarray:
     return np.concatenate([np.arange(a, b + 1) for a, b in runs] + [np.empty(0, dtype=np.intp)])
 
 
-# how each slot enters the product: J = v1 v2 d/dx conj(v3),
-# K = v1 conj(v2) v3 conj(v4) v5
-_SLOT_KINDS = {3: ("plain", "plain", "derivative"), 5: ("plain", "conj", "plain", "conj", "plain")}
-
-
 def _canonical(term: tuple, blocks: dict) -> tuple:
     """The term with each set of same-kind slots sorted by the key of the
     module docstring (`blocks` maps id(operand) to its blocks); a stable
     sort, so ties keep the given order."""
-    kinds, term = _SLOT_KINDS[len(term)], list(term)
+    kinds, term = SLOT_KINDS[len(term)], list(term)
     for kind in dict.fromkeys(kinds):
         at = [i for i, k in enumerate(kinds) if k == kind]
         ordered = sorted(
@@ -469,14 +464,14 @@ def _accumulate(terms) -> SpaceTimeFunction:
                 else (half - start, start + 1 - stop, 0, spec)
                 for (start, stop), spec in zip(layout(v, hull), spectrum(v, kind, size, hull, rows))
             ]
-            for v, kind in zip(term, _SLOT_KINDS[len(term)])
+            for v, kind in zip(term, SLOT_KINDS[len(term)])
         ]
 
     live = [_canonical(term, blocks) for term in terms if all(blocks[id(v)] for v in term)]
     # one class per distinct canonical operand tuple, in order of first member
     members = [tuple(map(id, term)) for term in live]
     classes = list(dict(zip(members, live)).values())
-    hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], _SLOT_KINDS[len(term)]) for term in classes]
+    hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], SLOT_KINDS[len(term)]) for term in classes]
     sizes = [_length([layout(v, hull) for v in term]) for term, hull in zip(classes, hulls)]
     chunk = max(1, CHUNK_POINTS // max(sizes, default=1))
     reads = [None] * len(classes)
@@ -620,11 +615,7 @@ def level_summary(finals: list[SpectralFunction]) -> tuple:
 MAX_ORACLE_LATTICE = 90  # guard: the direct oracle builds S^4 arrays
 
 
-def first_iterate_quintic_exact(
-    phi: SpectralFunction,
-    t: float,
-    grid: FrequencyGrid | None = None,
-) -> SpectralFunction:
+def first_iterate_quintic_exact(phi: SpectralFunction, t: float) -> SpectralFunction:
     """Direct-sum oracle for the quintic first iterate K^5[S(t) phi].
 
     Quadrature over (xi_1..xi_4) on the support lattice of phi with
@@ -632,10 +623,7 @@ def first_iterate_quintic_exact(
     E(Phi, t) = (exp(i t Phi) - 1) / (i Phi) (4th-order Taylor fallback for
     |Phi| t < 1e-4).  Independent of the FFT-convolution / Simpson path.
     """
-    grid = phi.grid if grid is None else grid
-    if grid != phi.grid:
-        raise ConfigurationError("oracle expects phi defined on the output grid")
-    S = phi.columns.size
+    grid, S = phi.grid, phi.columns.size
     if S > MAX_ORACLE_LATTICE:
         raise ResourceError(
             f"oracle lattice size {S} exceeds {MAX_ORACLE_LATTICE}; use a coarser grid"

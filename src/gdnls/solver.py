@@ -290,7 +290,7 @@ def _mode_indices(grid: FrequencyGrid, config: TorusConfig, columns: np.ndarray)
     return k[2:].astype(np.int64)
 
 
-def state_from_spectrum(f: SpectralFunction, config: TorusConfig, time: float = 0.0) -> PhysicalState:
+def state_from_spectrum(f: SpectralFunction, config: TorusConfig) -> PhysicalState:
     """Periodize a line spectrum: requires delta_xi = 2 pi / L so grid points
     coincide with torus modes.  u(x) = (delta_xi / 2 pi) sum f_hat(xi_k) e^{i xi_k x}."""
     k = _mode_indices(f.grid, config, f.columns)
@@ -303,7 +303,7 @@ def state_from_spectrum(f: SpectralFunction, config: TorusConfig, time: float = 
     c_hat = np.zeros(m, dtype=np.complex128)
     c_hat[k % m] = f.amplitudes * dxi / (2 * np.pi)
     samples = np.fft.ifft(c_hat) * m
-    return PhysicalState(config, samples, time)
+    return PhysicalState(config, samples)
 
 
 def spectrum_from_state(state: PhysicalState, grid: FrequencyGrid) -> SpectralFunction:

@@ -139,9 +139,6 @@ class SpectralFunction:
         values[self.columns] = self.amplitudes
         return values
 
-    def copy(self) -> "SpectralFunction":
-        return SpectralFunction._on_columns(self.grid, self.columns.copy(), self.amplitudes.copy())
-
     def __add__(self, other: "SpectralFunction") -> "SpectralFunction":
         if other.grid != self.grid:
             raise ConfigurationError("operands must share one frequency grid")

@@ -25,6 +25,7 @@ __all__ = [
     "TreeStats",
     "LeafSignature",
     "LEAF",
+    "SLOT_KINDS",
     "enumerate_trees",
     "count_trees",
     "compositions",
@@ -100,9 +101,9 @@ def tree_stats(tree: Tree) -> TreeStats:
     )
 
 
-# Slots counted from 1: the cubic operator conjugates slot 3, the quintic
-# operator conjugates slots 2 and 4.
-_CONJ_SLOTS = {3: (False, False, True), 5: (False, True, False, True, False)}
+# how each slot enters the product, by node arity: J = v1 v2 d/dx conj(v3),
+# K = v1 conj(v2) v3 conj(v4) v5
+SLOT_KINDS = {3: ("plain", "plain", "derivative"), 5: ("plain", "conj", "plain", "conj", "plain")}
 
 
 def leaf_signature(tree: Tree) -> LeafSignature:
@@ -114,12 +115,11 @@ def leaf_signature(tree: Tree) -> LeafSignature:
             conj.append(conjugated)
             deriv.append(False)
             return
-        slots = _CONJ_SLOTS[len(node.children)]
-        for i, (child, slot_conj) in enumerate(zip(node.children, slots)):
-            child_conjugated = conjugated ^ slot_conj
+        for child, kind in zip(node.children, SLOT_KINDS[len(node.children)]):
+            child_conjugated = conjugated ^ (kind != "plain")
             if child.is_leaf:
                 conj.append(child_conjugated)
-                deriv.append(len(node.children) == 3 and i == 2)
+                deriv.append(kind == "derivative")
             else:
                 walk(child, child_conjugated)
 

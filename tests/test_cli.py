@@ -170,6 +170,51 @@ def test_config_inflate_matches_flags(capsys, tmp_path):
     assert by_config == by_flags
 
 
+def test_config_negative_value_matches_the_flag(capsys, tmp_path):
+    """A config value that starts with '-' is the option's value, not a flag."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 256, "s": -0.75}))
+    code, by_flags, _ = run(capsys, "norms", "--N", "256", "--s", "-0.75")
+    assert code == 0
+    code, by_config, _ = run(capsys, "norms", "--config", str(cfg))
+    assert code == 0
+    assert by_config == by_flags
+
+
+def test_config_output_path_starting_with_a_dash(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 256, "output": "-x.json"}))
+    code, out, _ = run(capsys, "norms", "--config", str(cfg))
+    assert code == 0
+    assert out == ""
+    assert json.loads((tmp_path / "-x.json").read_text())["fl_inf"] == 4.0
+
+
+def test_config_empty_list_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": []}))
+    code, _, err = run(capsys, "inflate", "--config", str(cfg))
+    assert code == 2
+    assert "ConfigurationError" in err
+    assert "--N" in err
+
+
+@pytest.mark.parametrize(
+    "command, config, text",
+    [("inflate", {"N": [64, "--zz"]}, "--zz"), ("trees", {"count": [1, 1, 1]}, "--count")],
+)
+def test_config_list_items_no_flag_takes_exit_2(capsys, tmp_path, command, config, text):
+    """A list item read as an unknown flag, or one past the flag's count, is
+    a configuration error, not an argparse usage exit."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "ConfigurationError" in err
+    assert text in err
+
+
 def _no_estimate(*args, **kwargs):
     raise AssertionError("the lemma ran before its flags were checked")
 
@@ -286,6 +331,30 @@ def test_inflate_j_max_zero_exit_2(capsys):
     )
     assert code == 2
     assert "ConfigurationError" in err
+
+
+def test_inflate_solver_mode_cap_exit_3(capsys):
+    """The solver's mode cap is a resource limit; it is checked before any
+    solving."""
+    code, _, err = run(
+        capsys,
+        "inflate", "--s", "-1", "--N", "4096", "--delta", "1", "--margin", "4",
+        "--points-per-block", "8", "--j-max", "1", "--method", "solver",
+    )
+    assert code == 3
+    assert "ResourceError" in err
+    assert "262144 modes" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [(["norms"], "--N"), (["solve", "--L", "40", "--modes", "256"], "--dt, --T")],
+)
+def test_missing_required_options_exit_2(capsys, argv, flags):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "ConfigurationError" in err
+    assert f"missing required option(s) {flags}" in err
 
 
 @pytest.mark.parametrize(

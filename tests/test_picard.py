@@ -381,9 +381,9 @@ def test_clipping_error_names_the_overflowing_interval(side):
 
 
 def test_capped_clipping_error_names_the_true_interval():
-    """Ones on the whole grid: K takes the capped length, where its mass past
-    the window may sit at any alias, and is named by its true hull 5 x the
-    grid; J's span fits uncapped and its overflow is read exactly."""
+    """Ones on the whole grid: each term is a linear convolution read at its
+    true offsets, so the mass past the window is named by the true hull, 5 x
+    the grid for K and 3 x the grid for J."""
     grid = FrequencyGrid.symmetric(10.0, 0.25)
     w = free_frames(SpectralFunction(grid, np.ones(grid.count, dtype=np.complex128)), TimeGrid(1e-3, 4))
     for op, arity, reach in ((duhamel_K, 5, 50), (duhamel_J, 3, 30)):
@@ -467,7 +467,7 @@ def test_cubic_against_direct_oracle():
 def test_quintic_against_direct_oracle():
     grid, phi, tg = coarse_setup()
     got = xi_generation(0, 1, phi, tg).final
-    want = first_iterate_quintic_exact(phi, P.T, grid=grid)
+    want = first_iterate_quintic_exact(phi, P.T)
     err = np.linalg.norm(got.values - want.values) / np.linalg.norm(want.values)
     assert err < 1e-6
 
@@ -486,7 +486,7 @@ def test_simpson_time_convergence_order():
     big_t = 2e-2  # strong phase so quadrature error dominates
     grid = default_grid(P, generations=1, points_per_block=8)
     phi = make_phi(P, grid, min_points_per_block=8)
-    want = first_iterate_quintic_exact(phi, big_t, grid=grid)
+    want = first_iterate_quintic_exact(phi, big_t)
     errs = []
     for steps in (16, 32, 64):
         tg = TimeGrid(t_max=big_t, steps=steps)
@@ -662,7 +662,7 @@ def test_block_and_hull_folds_give_the_same_terms(monkeypatch, datum):
     """Each term evaluated in both layouts, the choice forced: phi alone on
     the generation-1 grid, phi plus the radius-8 bump of _perturbed_datum
     (levels 1-3, whose operands split into blocks), and a Gaussian nonzero on
-    the whole grid, whose K term takes the capped length."""
+    the whole grid, whose K term is read over 5 x the grid."""
     grid, phi, _ = coarse_setup()
     tg = TimeGrid(t_max=P.T, steps=8)
     if datum == "perturbed":
