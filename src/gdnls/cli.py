@@ -183,15 +183,30 @@ _LEMMA_FLAGS = {
     "2.10": (*_DATUM_FLAGS, "j"),
 }
 
+# flags other subcommands read only in some runs: (flag, whether this run
+# reads it, the runs that do not); set in any other run, it is an error
+_RUN_FLAGS = {
+    "trees": ("depth_cap", lambda args: args.enumerate is not None, "trees without --enumerate"),
+    "solve": ("amplitude", lambda args: args.initial_csv is None, "solve --initial-csv"),
+    "inflate": ("time_steps", lambda args: args.method != "solver", "inflate --method solver"),
+}
 
-def _check_lemma_flags(args: argparse.Namespace) -> None:
-    """Reject verify flags the chosen lemma does not read; runs before the
-    defaults fill them."""
-    read = {"command", "config", "output", "format", "lemma", *_LEMMA_FLAGS[args.lemma]}
-    unread = sorted(k for k, v in vars(args).items() if v is not None and k not in read)
+
+def _check_unread_flags(args: argparse.Namespace) -> None:
+    """Reject flags that this run does not read; runs before the defaults
+    fill them."""
+    if args.command == "verify":
+        read = {"command", "config", "output", "format", "lemma", *_LEMMA_FLAGS[args.lemma]}
+        unread = sorted(k for k, v in vars(args).items() if v is not None and k not in read)
+        runs = f"verify --lemma {args.lemma}"
+    elif args.command in _RUN_FLAGS:
+        flag, reads, runs = _RUN_FLAGS[args.command]
+        unread = [flag] if getattr(args, flag) is not None and not reads(args) else []
+    else:
+        return
     if unread:
         flags = ", ".join("--" + k.replace("_", "-") for k in unread)
-        raise ConfigurationError(f"verify --lemma {args.lemma} does not read {flags}")
+        raise ConfigurationError(f"{runs} does not read {flags}")
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
@@ -320,7 +335,7 @@ def _cmd_verify(args) -> dict:
             "note": "lower-bound constant c is the edge value of the order-5 B-spline",
         }
     params = _params_from(args)
-    # _check_lemma_flags let through only the options this lemma reads
+    # _check_unread_flags let through only the options this lemma reads
     options = _given(args, "points_per_block", "time_steps", "margin")
     if args.lemma == "2.5":
         rep = estimates.verify_lemma25(params, args.k, args.p, **options)
@@ -375,12 +390,15 @@ def _write_checkpoints(trajectory, path) -> None:
     cfg = trajectory[0].config
     dxi = 2 * math.pi / cfg.length
     grid = spectrum.FrequencyGrid(xi_min=-(cfg.modes // 2) * dxi, delta_xi=dxi, count=cfg.modes)
-    spectra = np.zeros((len(trajectory), cfg.modes), dtype=np.complex128)
+    # spectrum_from_state writes the band |k| <= M/2 - 1, grid columns 1..M-1;
+    # column 0 (k = -M/2) stays zero and is left out of the stack
+    columns = np.arange(1, cfg.modes)
+    spectra = np.zeros((len(trajectory), columns.size), dtype=np.complex128)
     for row, state in zip(spectra, trajectory):
         f = solver.spectrum_from_state(state, grid)
-        row[f.columns] = f.amplitudes
+        row[f.columns - 1] = f.amplitudes
     tg = picard.TimeGrid(t_max=abs(trajectory[-1].time - trajectory[0].time), steps=len(trajectory) - 1)
-    frames.write_frames(picard.SpaceTimeFunction(tg, grid, spectra), path)
+    frames.write_frames(picard.SpaceTimeFunction._on_columns(tg, grid, columns, spectra), path)
 
 
 def _cmd_inflate(args) -> list:
@@ -414,8 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(args, subparsers[args.command], argv[argv.index(args.command) + 1:])
-        if args.command == "verify":
-            _check_lemma_flags(args)
+        _check_unread_flags(args)
         _apply_defaults(args)
         payload = _COMMANDS[args.command](args)
         _emit(args, payload)

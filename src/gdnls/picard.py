@@ -54,7 +54,9 @@ both read over the buckets' intervals, raises an AccuracyError naming the
 term and the xi-interval that overflowed.
 
 Time closure: a class's product is multiplied by exp(i t xi^2), integrated by
-cumulative Simpson and multiplied by exp(-i t xi^2).  The time grid is
+cumulative Simpson and multiplied by exp(-i t xi^2), in place on the columns
+it reaches.  Each transform is dropped after the last class of its chunk of
+time nodes that reads it, so no transform outlives the fold.  The time grid is
 uniform, so the phase rows take one exponential per column, z = exp(i dt
 xi^2): row n is row n - 1 times z, which drifts from exp(i t xi^2) by
 rounding that grows with n (2.3e-13 at the step cap).
@@ -254,6 +256,17 @@ def _cover(intervals) -> np.ndarray:
         else:
             runs.append([first, last])
     return np.concatenate([np.arange(a, b + 1) for a, b in runs] + [np.empty(0, dtype=np.intp)])
+
+
+def _runs(positions: np.ndarray) -> list[tuple[slice, slice]]:
+    """The runs of consecutive values in the sorted `positions`, as pairs
+    (slice of `positions`, slice of the values it holds)."""
+    cuts = np.flatnonzero(np.diff(positions) != 1) + 1
+    bounds = np.r_[0, cuts, positions.size].tolist()
+    return [
+        (slice(a, b), slice(int(positions[a]), int(positions[a]) + b - a))
+        for a, b in zip(bounds[:-1], bounds[1:]) if b > a
+    ]
 
 
 def _canonical(term: tuple, blocks: dict) -> tuple:
@@ -474,40 +487,53 @@ def _accumulate(terms) -> SpaceTimeFunction:
     hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], SLOT_KINDS[len(term)]) for term in classes]
     sizes = [_length([layout(v, hull) for v in term]) for term, hull in zip(classes, hulls)]
     chunk = max(1, CHUNK_POINTS // max(sizes, default=1))
+    # per transform, the last class of a chunk that reads it (a conjugate one
+    # reads its plain one when first taken), after which it is dropped
+    last = {}
+    for n, (term, size, hull) in enumerate(zip(classes, sizes, hulls)):
+        for v, kind in zip(term, SLOT_KINDS[len(term)]):
+            if kind == "conj" and (id(v), kind, size, hull) not in last:
+                last[id(v), "plain", size, hull] = n
+            last[id(v), kind, size, hull] = n
     reads = [None] * len(classes)
     for first in range(0, tg.steps + 1, chunk):
         rows = slice(first, first + chunk)
         spectra = {}
         for n, (term, size, hull) in enumerate(zip(classes, sizes, hulls)):
             buckets = _fold(slots(term, size, hull, rows))
+            for key in [key for key in spectra if last[key] == n]:
+                del spectra[key]
             if reads[n] is None:
                 reads[n] = _Readout(buckets, size, half, tg.steps + 1)
             reads[n].add(buckets, rows)
+            buckets = None  # read out: freed before the next fold, not after it
     for term, read in zip(classes, reads):
         read.check_edges(term, grid.delta_xi)
 
     # each class: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
-    # on the columns some class reaches
+    # in place on its own columns; the phase rows are on the columns some class
+    # reaches, and each run of a class's columns reads a slice of them
     columns = _cover(span for read in reads for span in read.reach.values()) + half
     phase = _phase_rows(tg, grid.xi(columns) ** 2)
-    closed = []
-    for read in reads:
-        product = read.values
-        if product.shape != phase.shape:
-            product = np.zeros_like(phase)
-            product[:, np.searchsorted(columns, read.columns)] = read.values
-        product *= phase
-        closed.append(_cumulative_simpson(product, tg.dt))
+    runs = [_runs(np.searchsorted(columns, read.columns)) for read in reads]
+    for read, pairs in zip(reads, runs):
+        for local, union in pairs:
+            read.values[:, local] *= phase[:, union]
+        _cumulative_simpson(read.values, tg.dt)
     outer = np.conjugate(phase, out=phase)
     weight = grid.delta_xi / (2 * np.pi)
-    for term, product in zip(classes, closed):
-        product *= outer
+    for term, read, pairs in zip(classes, reads, runs):
+        for local, union in pairs:
+            read.values[:, local] *= outer[:, union]
         # the convolution weight weight^(arity - 1) rides on the prefactor
-        product *= -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
-    closed = dict(zip(dict.fromkeys(members), closed))
-    total = np.zeros_like(outer)
+        read.values *= -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
+    phase = outer = None
+    closed = dict(zip(dict.fromkeys(members), zip(reads, runs)))
+    total = np.zeros((tg.steps + 1, columns.size), dtype=np.complex128)
     for member in members:
-        total += closed[member]
+        read, pairs = closed[member]
+        for local, union in pairs:
+            total[:, union] += read.values[:, local]
     return SpaceTimeFunction._on_columns(tg, grid, columns, total)
 
 

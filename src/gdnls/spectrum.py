@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import AccuracyError, ConfigurationError, ResourceError
 
 __all__ = [
     "FrequencyGrid",
@@ -53,6 +53,10 @@ class FrequencyGrid:
             raise ConfigurationError("delta_xi must be positive")
         if self.count < 2:
             raise ConfigurationError("grid needs at least 2 points")
+        if self.count > np.iinfo(np.int64).max:
+            raise ResourceError(
+                f"grid of {self.count} points: its indices do not fit int64; lower N or widen delta_xi"
+            )
 
     @classmethod
     def symmetric(cls, xi_max: float, delta_xi: float) -> "FrequencyGrid":
@@ -214,7 +218,18 @@ def make_phi(
             f"grid [{grid.xi_min}, {grid.xi_max}] does not cover the data support "
             f"[{2 * N - A / 2}, {3 * N + A / 2}]"
         )
-    columns = np.union1d(_block(grid, 2 * N, A), _block(grid, 3 * N, A))
+    blocks = _block(grid, 2 * N, A), _block(grid, 3 * N, A)
+    # a half-open interval of width A holds at least floor(A / delta_xi)
+    # lattice points: fewer means float64 cannot place the grid's points there
+    need = math.floor(A / grid.delta_xi)
+    for center, block in zip((2 * N, 3 * N), blocks):
+        if block.size < need:
+            raise AccuracyError(
+                f"the block at xi = {center:g} holds {block.size} grid points, fewer than the "
+                f"{need} of its width A = {A:g}: float64 cannot resolve delta_xi = "
+                f"{grid.delta_xi:g} there; lower N"
+            )
+    columns = np.union1d(*blocks)
     return SpectralFunction._on_columns(grid, columns, np.full(columns.size, R, dtype=np.complex128))
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -621,3 +622,98 @@ def test_solve_frames_carry_package_spectrum(capsys, tmp_path):
     frame0 = stored.frames[0][128 - 85 : 128 + 86]
     assert np.allclose(stored.grid.xis[128 - 85 : 128 + 86], f.grid.xis, rtol=0.0, atol=1e-12)
     assert np.max(np.abs(frame0 - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+_SOLVE = ["solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1e-3"]
+# per case: the run, and a flag with its value that this run does not read
+_UNREAD_FLAG_RUNS = {
+    "trees-count": (["trees", "--count", "2", "1"], "--depth-cap", "1"),
+    "solve-initial-csv": ([*_SOLVE, "--initial-csv", "{csv}"], "--amplitude", "7"),
+    "inflate-method-solver": (["inflate", "--N", "64", "--method", "solver"], "--time-steps", "8"),
+}
+
+
+def _unread_flag_run(tmp_path, case):
+    csv = tmp_path / "g.csv"
+    _csv_spectrum(csv, -85, 171)
+    argv, flag, value = _UNREAD_FLAG_RUNS[case]
+    return [a.format(csv=csv) for a in argv], flag, value
+
+
+@pytest.mark.parametrize("case", sorted(_UNREAD_FLAG_RUNS))
+def test_flag_the_run_does_not_read_exit_2(capsys, tmp_path, case):
+    argv, flag, value = _unread_flag_run(tmp_path, case)
+    code, _, err = run(capsys, *argv, flag, value)
+    assert code == 2
+    assert "ConfigurationError" in err
+    assert f"does not read {flag}" in err
+
+
+@pytest.mark.parametrize("case", sorted(_UNREAD_FLAG_RUNS))
+def test_config_key_the_run_does_not_read_exit_2(capsys, tmp_path, case):
+    argv, flag, value = _unread_flag_run(tmp_path, case)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): int(value)}))
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert f"does not read {flag}" in err
+
+
+def test_trees_enumerate_reads_depth_cap(capsys):
+    code, _, err = run(capsys, "trees", "--enumerate", "2", "1", "--depth-cap", "2")
+    assert code == 3
+    assert "ResourceError" in err
+
+
+_CASE2 = ["--s", "-0.5", "--delta", "0.5", "--margin", "1.4", "--no-perturbation"]
+_CASE1 = ["--s", "-1", "--delta", "1", "--margin", "4"]
+
+
+@pytest.mark.parametrize(
+    "datum, N, code, error",
+    [
+        (_CASE2, "1e21", 3, "ResourceError"),
+        (_CASE2, str(2**60), 4, "AccuracyError"),
+        (_CASE2, str(2**56), 4, "AccuracyError"),
+        (_CASE1, str(2**64), 4, "AccuracyError"),
+        (_CASE1, str(2**60), 4, "AccuracyError"),
+    ],
+    ids=["case2-1e21", "case2-2^60", "case2-2^56", "case1-2^64", "case1-2^60"],
+)
+def test_inflate_past_the_float64_grid_exits_3_or_4(capsys, datum, N, code, error):
+    """Past int64 the grid's indices are no integers (exit 3); below it,
+    float64 may not place delta_xi near 2N or 3N, and a block of phi then
+    holds fewer than its A / delta_xi points (exit 4).  Each of these once
+    exited 1 with a traceback, or 0 with a gap of 0."""
+    got, _, err = run(capsys, "inflate", *datum, "--N", N, "--points-per-block", "8", "--j-max", "1")
+    assert got == code
+    assert f"error:{error}:inflate" in err
+
+
+def test_write_checkpoints_builds_the_stack_once(tmp_path):
+    """The frame stack of a 5-checkpoint trajectory at M = 4096 is built on
+    the M - 1 columns spectrum_from_state writes and never copied: the traced
+    peak is 2.1 stacks (2.6 with a dense stack copied to drop column 0)."""
+    from gdnls.frames import read_frames
+    from gdnls.solver import PhysicalState, TorusConfig, spectrum_from_state
+
+    modes, count = 4096, 5
+    config = TorusConfig(length=40.0, modes=modes, dt=1e-6)
+    rng = np.random.default_rng(0)
+    trajectory = [
+        PhysicalState(config, rng.normal(size=modes) + 1j * rng.normal(size=modes), n * config.dt)
+        for n in range(count)
+    ]
+    path = tmp_path / "w.niqk1"
+    tracemalloc.start()
+    try:
+        cli._write_checkpoints(trajectory, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * count * modes * 16
+    back = read_frames(path)
+    assert np.array_equal(back.columns, np.arange(1, modes))
+    for row, state in zip(back.values, trajectory):
+        f = spectrum_from_state(state, back.grid)
+        assert np.array_equal(row[f.columns - 1], f.amplitudes)

@@ -280,3 +280,16 @@ def test_stack_norms_are_their_frames_norms():
         assert all(type(value) is float for value in per_frame), name
         assert per_frame[0] == 0 < per_frame[-1]
         np.testing.assert_allclose(norm(stack), per_frame, rtol=1e-14, atol=0, err_msg=name)
+
+
+def test_lemma210_refuses_a_zero_or_too_large_perturbation():
+    grid = default_grid(P, generations=1, points_per_block=16)
+    zero = SpectralFunction(grid, np.zeros(grid.count))
+    with pytest.raises(ConfigurationError, match="perturbation is identically zero"):
+        verify_lemma210(P, zero, 1)
+    bump = default_perturbation(grid, P.s)
+    # FL1 of the unit bump is far below 8 R A = 512; this one is far above
+    large = SpectralFunction._on_columns(grid, bump.columns, 1e6 * bump.amplitudes)
+    assert fl_norm(bump, 1) < 8 * P.R * P.A < fl_norm(large, 1)
+    with pytest.raises(ConfigurationError, match="perturbation too large: FL1 above 8 R A"):
+        verify_lemma210(P, large, 1)

@@ -269,3 +269,35 @@ def test_case1_sweep_keeps_the_block_fold(monkeypatch):
     assert all(r.conditions.all_pass for r in results)
     assert {blocks for blocks, _ in choices} == {(2,) * 3, (2,) * 5, (3,) * 3, (3,) * 5}
     assert not any(hull for _, hull in choices)
+
+
+@pytest.mark.parametrize(
+    "s, N, delta, message",
+    [
+        (-1.0, 512.0, 0.0, "delta must be positive"),
+        (-1.0, 512.0, -0.5, "delta must be positive"),
+        (-1.0, 1.0, 1.0, "need N > 1"),
+        (-0.5, 2.0, 0.1, "case 2 needs log N > 1"),
+    ],
+)
+def test_choose_params_refusals(s, N, delta, message):
+    with pytest.raises(ConfigurationError, match=message):
+        choose_params(s, N, delta)
+
+
+def test_run_experiment_warns_when_the_series_levels_do_not_shrink():
+    """A perturbation 100 times the unit bump makes level 1 outweigh level 0:
+    the series ratio is past 1/2 (and past 1, so the tail is infinite)."""
+    grid = FrequencyGrid.symmetric(16.0, 0.125)
+    psi = default_perturbation(grid, -1.0)
+    results = {}
+    for scale in (1.0, 100.0):
+        big = SpectralFunction._on_columns(grid, psi.columns, scale * psi.amplitudes)
+        (results[scale],) = run_experiment(
+            -1.0, big, [512.0], delta=1.0, margin=4.0, points_per_block=8, j_max=1, time_steps=4
+        )
+    assert results[1.0].series_ratio < 0.5
+    assert not any("series level ratio" in w for w in results[1.0].warnings)
+    r = results[100.0]
+    assert r.series_ratio >= 0.5 and r.series_tail == math.inf
+    assert f"series level ratio {r.series_ratio:.3g} >= 1/2" in r.warnings

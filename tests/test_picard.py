@@ -847,3 +847,22 @@ def test_quintic_against_direct_oracle_at_large_n(N):
     want = first_iterate_quintic_exact(phi, params.T)
     err = np.linalg.norm((got - want).amplitudes) / np.linalg.norm(want.amplitudes)
     assert err < 1.5e-10
+
+
+def test_generation_peak_at_the_gen2_benchmark_parameters():
+    """xi_generation(1, 1) at N = 128, A = 16, R = 2 sqrt 2, 16 points per
+    block and 32 steps.  Each transform is dropped after the last class of
+    its chunk that reads it, and each class is closed in place on its own
+    columns: the traced peak is 7.4 output stacks (3.7 MiB; 15.5 stacks
+    while the transforms lived through the time closure)."""
+    N = 128.0
+    params = ParameterSet(s=-1.0, N=N, A=16.0, R=2.0 * np.sqrt(2.0), T=0.05 / N**2)
+    _, tg, phi = generation_setup(params, 2, params.T, 16, 32)
+    tracemalloc.start()
+    try:
+        out = xi_generation(1, 1, phi, tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.shape == (33, 1002)
+    assert peak < 10 * out.values.nbytes

@@ -395,3 +395,19 @@ def test_overflowing_samples_raise_accuracy_error():
     samples[M // 2] = 1e307
     with pytest.raises(AccuracyError, match=f"at t = {cfg.dt}$"):
         solve_gdnls(PhysicalState(cfg, samples), cfg.dt, nonlinear=False)
+
+
+def test_state_from_spectrum_refuses_content_above_the_band():
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    dxi = 2 * np.pi / L
+    grid = FrequencyGrid.symmetric((cfg.band_limit + 1) * dxi, dxi)
+    values = np.zeros(grid.count)
+    values[-1] = 1.0  # the top mode, above the band limit
+    with pytest.raises(ConfigurationError, match="above the torus band limit"):
+        state_from_spectrum(SpectralFunction(grid, values), cfg)
+
+
+def test_solve_to_the_start_time_returns_the_initial_state():
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    st = gaussian_state(cfg)
+    assert solve_gdnls(st, st.time) == [st]

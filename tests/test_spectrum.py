@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from gdnls.errors import ConfigurationError
+from gdnls.errors import AccuracyError, ConfigurationError, ResourceError
 from gdnls.inflation import choose_params
 from gdnls.spectrum import (
     FrequencyGrid,
@@ -327,3 +327,40 @@ def test_sums_need_one_grid():
         a + b
     with pytest.raises(ConfigurationError):
         a - b
+
+
+def test_grid_count_past_int64_is_a_resource_error():
+    """Indices past int64 would turn numpy's index arrays into object
+    arrays; the largest int64 count is still a grid."""
+    assert FrequencyGrid(xi_min=0.0, delta_xi=1.0, count=2**63 - 1).count == 2**63 - 1
+    with pytest.raises(ResourceError, match="int64"):
+        FrequencyGrid(xi_min=0.0, delta_xi=1.0, count=2**63)
+    with pytest.raises(ResourceError, match="int64"):
+        FrequencyGrid.symmetric(1e21, 1e-3)
+
+
+def test_phi_block_that_float64_cannot_place_is_an_accuracy_error():
+    """Case 1 at N = 2^60: delta_xi = A / 8 = 512 is the float64 spacing at
+    2N, so the block at 2N holds 7 of its 8 grid points."""
+    params = choose_params(-1.0, 2.0**60, 1.0)
+    grid = default_grid(params, 1, 8)
+    with pytest.raises(AccuracyError, match="holds 7 grid points, fewer than the 8"):
+        make_phi(params, grid, min_points_per_block=8)
+
+
+def test_resample_onto_its_own_grid_and_of_an_empty_spectrum():
+    grid = FrequencyGrid.symmetric(4.0, 0.25)
+    f = smooth_bump(grid, 2.0, -1.0)
+    assert resample(f, grid) is f
+    empty = SpectralFunction(grid, np.zeros(grid.count))
+    target = FrequencyGrid.symmetric(8.0, 0.1)
+    out = resample(empty, target)
+    assert out.grid == target and out.columns.size == 0
+    assert np.array_equal(out.values, np.zeros(target.count))
+
+
+def test_smooth_bump_with_no_grid_point_inside_is_refused():
+    # the grid points 0.5, 1.5, ... all lie outside (-0.25, 0.25)
+    grid = FrequencyGrid(xi_min=0.5, delta_xi=1.0, count=8)
+    with pytest.raises(ConfigurationError, match="bump unresolved on this grid"):
+        smooth_bump(grid, 0.25, -1.0)
