@@ -5,7 +5,7 @@ reversal, and agreement with the truncated Picard series at small data.
 
 import numpy as np
 
-from gdnls.inflation import _solver_final
+from gdnls.inflation import _solver_config, _solver_final
 from gdnls.picard import TimeGrid, level_summary, series_levels
 from gdnls.solver import (
     PhysicalState,
@@ -40,7 +40,7 @@ def main():
     phi = make_phi(params, grid, min_points_per_block=8)
     tg = TimeGrid.for_extent(params.T, grid.xi_max)
     total, _, ratio, tail = level_summary([lvl.final for lvl in series_levels(phi, tg, 2)])
-    solved, _ = _solver_final(phi, params, 1 << 16)
+    solved, _ = _solver_final(phi, _solver_config(grid, params.T), params.T)
     diff = sobolev_norm(type(phi)(grid, solved.values - total.values), 0.0)
     rel = diff / sobolev_norm(total, 0.0)
     print(f"series vs solver at small data: relative L2 difference {rel:.2e}")

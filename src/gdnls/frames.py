@@ -15,6 +15,7 @@ Binary layout (little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
@@ -84,15 +85,18 @@ def read_frames(path: str | Path) -> SpaceTimeFunction:
     return SpaceTimeFunction._on_columns(tg, grid, columns, values)
 
 
+def _opened(path_or_buf, mode: str):
+    """The buffer given, left open on exit, or the file at the path opened in `mode`."""
+    if hasattr(path_or_buf, "read" if mode == "r" else "write"):
+        return contextlib.nullcontext(path_or_buf)
+    return open(path_or_buf, mode)
+
+
 def spectral_to_csv(f: SpectralFunction, path_or_buf) -> None:
-    buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-    try:
+    with _opened(path_or_buf, "w") as buf:
         buf.write("xi,re,im\n")
         for xi, v in zip(f.grid.xis, f.values):
             buf.write(f"{float(xi)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
 
 
 def spectral_from_csv(path_or_buf) -> SpectralFunction:
@@ -100,16 +104,12 @@ def spectral_from_csv(path_or_buf) -> SpectralFunction:
     are parsed in one pass, and scanned one by one only to name a ragged row
     (rows are numbered among the nonblank lines, the header being row 1)."""
     try:
-        buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
+        with _opened(path_or_buf, "r") as buf:
+            lines = [line for line in buf.read().splitlines() if line.strip()]
     except OSError as exc:
         raise ConfigurationError(f"cannot read spectrum CSV: {exc}") from exc
-    try:
-        lines = [line for line in buf.read().splitlines() if line.strip()]
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"spectrum CSV is not text: {exc}") from exc
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
     if not lines or lines[0].strip() != "xi,re,im":
         raise ConfigurationError("expected CSV header 'xi,re,im'")
     rows = lines[1:]
@@ -138,15 +138,11 @@ def _check_three_cells(rows: list[str]) -> None:
 
 
 def spacetime_to_csv(stf: SpaceTimeFunction, path_or_buf) -> None:
-    buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-    try:
+    with _opened(path_or_buf, "w") as buf:
         buf.write("t,xi,re,im\n")
         for t, frame in zip(stf.time_grid.times, stf.frames):
             for xi, v in zip(stf.grid.xis, frame):
                 buf.write(f"{float(t)!r},{float(xi)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
 
 
 def to_string(writer, obj) -> str:

@@ -11,7 +11,7 @@ inequality conditions hold with a configured margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import ConfigurationError, ResourceError
 from .estimates import DEFAULT_MARGIN, _check_margin, f_s, generation_setup
 from .picard import level_summary, series_levels
 from .solver import TorusConfig, solve_gdnls, spectrum_from_state, state_from_spectrum
-from .spectrum import ParameterSet, SpectralFunction, resample, smooth_bump, sobolev_norm
+from .spectrum import ParameterSet, SpectralFunction, default_grid, make_phi, resample, smooth_bump, sobolev_norm
 
 __all__ = [
     "ConditionReport",
@@ -110,13 +110,7 @@ class ConditionReport:
         return all(self.passed.values())
 
     def as_dict(self) -> dict:
-        return {
-            "margins": self.margins,
-            "passed": self.passed,
-            "margin_factor": self.margin_factor,
-            "incompatible": list(self.incompatible),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def check_conditions(
@@ -225,24 +219,27 @@ def _series_final(v0, phi, params, tg, j_max):
     return total, decomposition, tail, ratio
 
 
-def _solver_final(v0, params, modes_cap):
-    grid = v0.grid
-    length = 2 * np.pi / grid.delta_xi
+def _solver_config(grid, t_final: float) -> TorusConfig:
+    """The torus on `grid`'s lattice: 3 xi_max/delta_xi modes up to a power of two, at most
+    SOLVER_MODES_CAP (else a ResourceError), stepped to t_final at dt <= 0.5/xi_max^2."""
     need = 3.0 * grid.xi_max / grid.delta_xi
     modes = 1 << max(3, math.ceil(math.log2(need)))
-    if modes > modes_cap:
+    if modes > SOLVER_MODES_CAP:
         raise ResourceError(
-            f"solver validation needs {modes} modes (> cap {modes_cap}); "
+            f"solver validation needs {modes} modes (> cap {SOLVER_MODES_CAP}); "
             "use the series method at this scale"
         )
-    config = TorusConfig(length=length, modes=modes, dt=params.T)
-    n_steps = max(4, math.ceil(params.T / (0.5 / config.xi_max**2)))
-    config = replace(config, dt=params.T / n_steps)
+    config = TorusConfig(length=2 * np.pi / grid.delta_xi, modes=modes, dt=t_final)
+    n_steps = max(4, math.ceil(t_final / (0.5 / config.xi_max**2)))
+    return replace(config, dt=t_final / n_steps)
+
+
+def _solver_final(v0, config, t_final):
     state = state_from_spectrum(v0, config)
     mass0 = state.mass
-    final_state = solve_gdnls(state, params.T)[-1]
+    final_state = solve_gdnls(state, t_final)[-1]
     drift = abs(final_state.mass - mass0) / max(mass0, np.finfo(float).tiny)
-    return spectrum_from_state(final_state, grid), drift
+    return spectrum_from_state(final_state, v0.grid), drift
 
 
 def run_experiment(
@@ -261,21 +258,31 @@ def run_experiment(
 
     v0 = psi + phi(N); the gap ||v0(0) - psi||_{H^s} = ||phi||_{H^s} and the
     final norm ||v(T)||_{H^s} are measured by the requested method.
-    Condition failures are recorded per N, never fatal.
+    Condition failures are recorded per N, never fatal.  Every N is set up,
+    the series' TimeGrid and the solver's torus only for the methods that run,
+    before the first is computed, so each refusal comes before any work.
     """
     if method not in ("series", "solver", "both"):
         raise ConfigurationError(f"unknown method {method!r}")
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1 (got {j_max}): the decomposition uses level 1")
     radius = 0.0 if psi is None else float(np.max(np.abs(psi.grid.xi(psi.columns)), initial=0))
-    results = []
+    setups = []
     for N in sorted(N_sweep):
         params = choose_params(s, N, delta)
         conditions = check_conditions(params, n, margin=margin)
-        grid, tg, phi = generation_setup(params, j_max, params.T, points_per_block, time_steps, radius)
+        if method == "solver":
+            grid = default_grid(params, j_max, points_per_block, psi_radius=radius)
+            tg, phi = None, make_phi(params, grid, min_points_per_block=points_per_block)
+        else:
+            grid, tg, phi = generation_setup(params, j_max, params.T, points_per_block, time_steps, radius)
+        config = None if method == "series" else _solver_config(grid, params.T)
         v0 = phi if psi is None else phi + resample(psi, grid)
-        gap = sobolev_norm(phi, s)
+        setups.append((params, conditions, tg, config, phi, v0))
 
+    results = []
+    for params, conditions, tg, config, phi, v0 in setups:
+        gap = sobolev_norm(phi, s)
         warnings = []
         if not conditions.all_pass:
             failing = [k for k, ok in conditions.passed.items() if not ok]
@@ -283,18 +290,17 @@ def run_experiment(
 
         tail = ratio = drift = agreement = float("nan")
         decomposition: dict = {}
-        if method in ("series", "both"):
+        if tg is not None:
             total, decomposition, tail, ratio = _series_final(v0, phi, params, tg, j_max)
             final = sobolev_norm(total, s)
             if ratio >= 0.5:
                 warnings.append(f"series level ratio {ratio:.3g} >= 1/2")
-        if method in ("solver", "both"):
-            solved, drift = _solver_final(v0, params, SOLVER_MODES_CAP)
-            final_solver = sobolev_norm(solved, s)
-            if method == "both":
-                agreement = sobolev_norm(solved - total, 0.0) / max(sobolev_norm(total, 0.0), 1e-300)
+        if config is not None:
+            solved, drift = _solver_final(v0, config, params.T)
+            if tg is None:
+                final = sobolev_norm(solved, s)
             else:
-                final = final_solver
+                agreement = sobolev_norm(solved - total, 0.0) / max(sobolev_norm(total, 0.0), 1e-300)
 
         results.append(
             InflationResult(

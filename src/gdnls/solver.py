@@ -71,7 +71,7 @@ class TorusConfig:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        return 2 * np.pi / self.length * np.fft.fftfreq(self.modes, d=1.0 / self.modes)
+        return 2 * np.pi / self.length * scipy.fft.fftfreq(self.modes, d=1.0 / self.modes)
 
     @cached_property
     def e_half(self) -> np.ndarray:
@@ -143,34 +143,32 @@ def _left_anchored_phase(samples: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(dx * (density[1:] + density[:-1]) / 2.0)))
 
 
-def _check_left_decay(state: PhysicalState) -> None:
-    m = state.config.modes
-    edge = int(math.ceil(EDGE_FRACTION * m))
+def _rotated(state: PhysicalState, unit: complex) -> PhysicalState:
+    """The state times exp(unit Phi(x)), Phi the cumulative integral of
+    |state|^2 from the left edge of the box; a state with more than
+    EDGE_MASS_TOL of its mass at that edge is refused."""
+    edge = int(math.ceil(EDGE_FRACTION * state.config.modes))
     total = np.sum(np.abs(state.samples) ** 2)
-    if total == 0:
-        return
     left = np.sum(np.abs(state.samples[:edge]) ** 2)
     if left > EDGE_MASS_TOL * total:
         raise ConfigurationError(
             f"left-edge mass fraction {left / total:.2e} exceeds {EDGE_MASS_TOL}; "
             "the left-anchored gauge integral is not a valid stand-in for -infinity"
         )
+    phase = _left_anchored_phase(state.samples, state.config.dx)
+    return PhysicalState(state.config, np.exp(unit * phase) * state.samples, state.time)
 
 
 def gauge(u: PhysicalState) -> PhysicalState:
     """Multiply by exp(-i Phi(x)) with Phi the cumulative integral of |u|^2
     from the left edge of the box.  Preserves |u| pointwise."""
-    _check_left_decay(u)
-    phase = _left_anchored_phase(u.samples, u.config.dx)
-    return PhysicalState(u.config, np.exp(-1j * phase) * u.samples, u.time)
+    return _rotated(u, -1j)
 
 
 def ungauge(v: PhysicalState) -> PhysicalState:
     """Inverse transform; uses |v| = |u|, so the phase integral is computed
     from the gauged field itself."""
-    _check_left_decay(v)
-    phase = _left_anchored_phase(v.samples, v.config.dx)
-    return PhysicalState(v.config, np.exp(1j * phase) * v.samples, v.time)
+    return _rotated(v, 1j)
 
 
 def _nonlinear_hat(config: TorusConfig, v_hat: np.ndarray) -> np.ndarray:
@@ -227,7 +225,7 @@ def _rk4_step(config: TorusConfig, v_hat: np.ndarray, time: float, nonlinear: bo
 
 def _sampled(config: TorusConfig, v_hat: np.ndarray, time: float) -> PhysicalState:
     """State at `time` from its spectrum; samples that overflow are a blow-up."""
-    samples = np.fft.ifft(v_hat)
+    samples = scipy.fft.ifft(v_hat)
     if not np.all(np.isfinite(samples)):
         raise AccuracyError(f"solution blew up at t = {time}")
     return PhysicalState(config, samples, time)
@@ -236,7 +234,7 @@ def _sampled(config: TorusConfig, v_hat: np.ndarray, time: float) -> PhysicalSta
 def step_gdnls(state: PhysicalState, nonlinear: bool = True) -> PhysicalState:
     """One integrating-factor RK4 step."""
     cfg, time = state.config, state.time + state.config.dt
-    v_hat = _rk4_step(cfg, np.fft.fft(state.samples), time, nonlinear)
+    v_hat = _rk4_step(cfg, scipy.fft.fft(state.samples), time, nonlinear)
     return _sampled(cfg, v_hat, time)
 
 
@@ -260,7 +258,7 @@ def solve_gdnls(
     if n_steps <= 0 or abs(n_steps * cfg.dt - span) > 1e-9 * abs(span):
         raise ConfigurationError("t_final - t0 must be a positive multiple of dt")
     out = [v0]
-    v_hat, time = np.fft.fft(v0.samples), v0.time
+    v_hat, time = scipy.fft.fft(v0.samples), v0.time
     for i in range(1, n_steps + 1):
         time = time + cfg.dt
         v_hat = _rk4_step(cfg, v_hat, time, nonlinear)
@@ -302,7 +300,7 @@ def state_from_spectrum(f: SpectralFunction, config: TorusConfig) -> PhysicalSta
         raise ConfigurationError(f"spectral content at xi = {xi} above the torus band limit {config.xi_max}")
     c_hat = np.zeros(m, dtype=np.complex128)
     c_hat[k % m] = f.amplitudes * dxi / (2 * np.pi)
-    samples = np.fft.ifft(c_hat) * m
+    samples = scipy.fft.ifft(c_hat) * m
     return PhysicalState(config, samples)
 
 
@@ -314,7 +312,7 @@ def spectrum_from_state(state: PhysicalState, grid: FrequencyGrid) -> SpectralFu
     # on the lattice, column j holds mode first + j
     first = _mode_indices(grid, cfg, np.r_[0])[0]
     columns = np.arange(max(-top - first, 0), min(top - first, grid.count - 1) + 1)
-    c_hat = np.fft.fft(state.samples) / cfg.modes
+    c_hat = scipy.fft.fft(state.samples) / cfg.modes
     return SpectralFunction._on_columns(grid, columns, c_hat[(first + columns) % cfg.modes] * 2 * np.pi / dxi)
 
 

@@ -148,7 +148,7 @@ def test_criterion_5_solver_validity():
         assert np.max(np.abs(ungauge(gauge(st)).samples - st.samples)) < 1e-10
 
         # series vs solver at small data
-        from gdnls.inflation import _solver_final
+        from gdnls.inflation import _solver_config, _solver_final
         from gdnls.picard import level_summary, series_levels
 
         p = ParameterSet(s=-1.0, N=8.0, A=2.0, R=0.05, T=1e-3)
@@ -157,7 +157,7 @@ def test_criterion_5_solver_validity():
         tg = TimeGrid.for_extent(p.T, grid.xi_max)
         total, _, ratio, tail = level_summary([lvl.final for lvl in series_levels(phi, tg, 2)])
         assert ratio < 1.0
-        solved, drift = _solver_final(phi, p, 1 << 16)
+        solved, drift = _solver_final(phi, _solver_config(grid, p.T), p.T)
         num = sobolev_norm(
             type(phi)(grid, solved.values - total.values), 0.0
         )

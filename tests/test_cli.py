@@ -348,6 +348,45 @@ def test_inflate_solver_mode_cap_exit_3(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--s", "-1", "--N", "4096", "--delta", "1", "--margin", "4", "--method", "both"], "262144 modes"),
+        (["--s", "-0.5", "--delta", "0.5", "--margin", "1.4", "--no-perturbation", "--N", "64", "1e21"],
+         "int64"),
+    ],
+    ids=["both-mode-cap", "sweep-int64-grid"],
+)
+def test_inflate_setup_refusals_come_before_any_series(capsys, monkeypatch, argv, message):
+    """Every set-up of a sweep, each method's included, is made before the
+    first N is computed: the solver's mode cap refuses a `both` run, and a
+    later N's grid a sweep, before any series is evaluated."""
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was evaluated before a set-up refusal")
+
+    monkeypatch.setattr("gdnls.inflation.series_levels", no_series)
+    code, out, err = run(capsys, "inflate", *argv, "--points-per-block", "8", "--j-max", "1")
+    assert code == 3
+    assert out == ""
+    assert "error:ResourceError:inflate" in err
+    assert message in err
+
+
+def test_inflate_solver_method_takes_no_time_grid(capsys):
+    """The solver never reads the series' time grid, so its step cap does
+    not apply: this run's phase would need 6,945 Simpson steps."""
+    code, out, _ = run(
+        capsys,
+        "inflate", "--s", "-1", "--N", "24", "--delta", "0.1", "--j-max", "3", "--method", "solver",
+        "--points-per-block", "1", "--format", "json",
+    )
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["final"] == pytest.approx(1.0016, rel=1e-4)
+    assert row["solver_drift"] < 1e-12
+
+
+@pytest.mark.parametrize(
     "argv, flags",
     [(["norms"], "--N"), (["solve", "--L", "40", "--modes", "256"], "--dt, --T")],
 )
