@@ -188,7 +188,6 @@ _LEMMA_FLAGS = {
 _RUN_FLAGS = {
     "trees": ("depth_cap", lambda args: args.enumerate is not None, "trees without --enumerate"),
     "solve": ("amplitude", lambda args: args.initial_csv is None, "solve --initial-csv"),
-    "inflate": ("time_steps", lambda args: args.method != "solver", "inflate --method solver"),
 }
 
 

@@ -204,7 +204,8 @@ def _series_final(v0, phi, params, tg, j_max):
     # keep only the final frame of each level: the full stacks of one datum
     # are freed before the other datum's levels are computed
     levels_v0 = [lvl.final for lvl in series_levels(v0, tg, j_max)]
-    levels_phi = levels_v0 if v0 is phi else [lvl.final for lvl in series_levels(phi, tg, j_max)]
+    # of phi's own levels the decomposition reads only 1 and 2
+    levels_phi = levels_v0 if v0 is phi else [lvl.final for lvl in series_levels(phi, tg, min(j_max, 2))]
     total, _, ratio, tail = level_summary(levels_v0)
 
     pert1 = levels_v0[1] - levels_phi[1]
@@ -260,10 +261,13 @@ def run_experiment(
     final norm ||v(T)||_{H^s} are measured by the requested method.
     Condition failures are recorded per N, never fatal.  Every N is set up,
     the series' TimeGrid and the solver's torus only for the methods that run,
-    before the first is computed, so each refusal comes before any work.
+    before the first is computed, so each refusal comes before any work;
+    `time_steps` with method "solver", which builds no TimeGrid, is refused.
     """
     if method not in ("series", "solver", "both"):
         raise ConfigurationError(f"unknown method {method!r}")
+    if method == "solver" and time_steps is not None:
+        raise ConfigurationError("method 'solver' does not read --time-steps (time_steps): it builds no time grid")
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1 (got {j_max}): the decomposition uses level 1")
     radius = 0.0 if psi is None else float(np.max(np.abs(psi.grid.xi(psi.columns)), initial=0))

@@ -53,13 +53,15 @@ Edge test: mass at |offset| >= half - 1 above CLIP_TOL of the term's peak,
 both read over the buckets' intervals, raises an AccuracyError naming the
 term and the xi-interval that overflowed.
 
-Time closure: a class's product is multiplied by exp(i t xi^2), integrated by
-cumulative Simpson and multiplied by exp(-i t xi^2), in place on the columns
-it reaches.  Each transform is dropped after the last class of its chunk of
-time nodes that reads it, so no transform outlives the fold.  The time grid is
-uniform, so the phase rows take one exponential per column, z = exp(i dt
-xi^2): row n is row n - 1 times z, which drifts from exp(i t xi^2) by
-rounding that grows with n (2.3e-13 at the step cap).
+Time closure: each class's product is multiplied by exp(i t xi^2), integrated
+by cumulative Simpson and multiplied by exp(-i t xi^2), in place on the
+columns it reaches, with its own phase rows on those columns.  Each transform
+is dropped after the last class of its chunk of time nodes that reads it, so
+no transform outlives the fold.  The time grid is uniform, so the phase rows
+take one exponential per column, z = exp(i dt xi^2): row n is row n - 1 times
+z, which drifts from exp(i t xi^2) by rounding that grows with n (2.3e-13 at
+the step cap).  A column's rows depend on that column alone, so they have the
+same bits whichever class computes them.
 
 Symmetry classes: slots of the same kind commute, J's two plain slots and
 K's plain slots 1/3/5 and conjugate slots 2/4, so the trees' terms repeat
@@ -81,7 +83,9 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
-from .spectrum import FrequencyGrid, SpectralFunction, _nonzero_columns, _sum_on_columns, sobolev_norm
+from .spectrum import (
+    FrequencyGrid, SpectralFunction, _cover, _dense, _nonzero_columns, _runs, _sum_on_columns, sobolev_norm
+)
 from .trees import SLOT_KINDS, Tree, compositions, root_splits
 
 __all__ = [
@@ -171,14 +175,7 @@ class SpaceTimeFunction:
         self.time_grid, self.grid = time_grid, grid
         self.columns, self.values = _nonzero_columns(columns, values)
 
-    @property
-    def frames(self) -> np.ndarray:
-        """The dense stack: the stored array itself when no column is zero."""
-        if self.columns.size == self.grid.count:
-            return self.values
-        frames = np.zeros((self.time_grid.steps + 1, self.grid.count), dtype=np.complex128)
-        frames[:, self.columns] = self.values
-        return frames
+    frames = property(_dense, doc="The dense stack: the stored array itself when no column is zero.")
 
     def at_index(self, i: int) -> SpectralFunction:
         # a copy, so that the frame does not keep the whole stack alive
@@ -232,41 +229,15 @@ def _blocks(columns: np.ndarray) -> list[tuple[int, int]]:
     """Column ranges [start, stop) covering the sorted column indices
     `columns`: the maximal runs, where a zero gap no longer than the wider of
     its neighbours (the block so far and the next run) is absorbed."""
-    if columns.size == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(columns) > 1)
-    starts = columns[np.r_[0, cuts + 1]].tolist()
-    stops = (columns[np.r_[cuts, columns.size - 1]] + 1).tolist()
-    blocks = [(starts[0], stops[0])]
-    for start, stop in zip(starts[1:], stops[1:]):
+    runs = [(held.start, held.stop) for _, held in _runs(columns)]
+    blocks = runs[:1]
+    for start, stop in runs[1:]:
         first, last = blocks[-1]
         if start - last <= max(last - first, stop - start):
             blocks[-1] = (first, stop)
         else:
             blocks.append((start, stop))
     return blocks
-
-
-def _cover(intervals) -> np.ndarray:
-    """The sorted integers in a union of closed intervals [first, last]."""
-    runs = []
-    for first, last in sorted(intervals):
-        if runs and first <= runs[-1][1] + 1:
-            runs[-1][1] = max(runs[-1][1], last)
-        else:
-            runs.append([first, last])
-    return np.concatenate([np.arange(a, b + 1) for a, b in runs] + [np.empty(0, dtype=np.intp)])
-
-
-def _runs(positions: np.ndarray) -> list[tuple[slice, slice]]:
-    """The runs of consecutive values in the sorted `positions`, as pairs
-    (slice of `positions`, slice of the values it holds)."""
-    cuts = np.flatnonzero(np.diff(positions) != 1) + 1
-    bounds = np.r_[0, cuts, positions.size].tolist()
-    return [
-        (slice(a, b), slice(int(positions[a]), int(positions[a]) + b - a))
-        for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-    ]
 
 
 def _canonical(term: tuple, blocks: dict) -> tuple:
@@ -481,12 +452,16 @@ def _accumulate(terms) -> SpaceTimeFunction:
         ]
 
     live = [_canonical(term, blocks) for term in terms if all(blocks[id(v)] for v in term)]
+    if not live:
+        # every term has a zero operand
+        empty = np.empty((tg.steps + 1, 0), dtype=np.complex128)
+        return SpaceTimeFunction._on_columns(tg, grid, np.empty(0, dtype=np.intp), empty)
     # one class per distinct canonical operand tuple, in order of first member
     members = [tuple(map(id, term)) for term in live]
     classes = list(dict(zip(members, live)).values())
     hulls = [_hull_is_cheaper([blocks[id(v)] for v in term], SLOT_KINDS[len(term)]) for term in classes]
     sizes = [_length([layout(v, hull) for v in term]) for term, hull in zip(classes, hulls)]
-    chunk = max(1, CHUNK_POINTS // max(sizes, default=1))
+    chunk = max(1, CHUNK_POINTS // max(sizes))
     # per transform, the last class of a chunk that reads it (a conjugate one
     # reads its plain one when first taken), after which it is dropped
     last = {}
@@ -511,29 +486,18 @@ def _accumulate(terms) -> SpaceTimeFunction:
         read.check_edges(term, grid.delta_xi)
 
     # each class: exp(-i t xi^2) prefactor int_0^t exp(i t' xi^2) product(t') dt',
-    # in place on its own columns; the phase rows are on the columns some class
-    # reaches, and each run of a class's columns reads a slice of them
-    columns = _cover(span for read in reads for span in read.reach.values()) + half
-    phase = _phase_rows(tg, grid.xi(columns) ** 2)
-    runs = [_runs(np.searchsorted(columns, read.columns)) for read in reads]
-    for read, pairs in zip(reads, runs):
-        for local, union in pairs:
-            read.values[:, local] *= phase[:, union]
-        _cumulative_simpson(read.values, tg.dt)
-    outer = np.conjugate(phase, out=phase)
+    # in place on its own columns, with phase rows on those columns
     weight = grid.delta_xi / (2 * np.pi)
-    for term, read, pairs in zip(classes, reads, runs):
-        for local, union in pairs:
-            read.values[:, local] *= outer[:, union]
+    for term, read in zip(classes, reads):
+        phase = _phase_rows(tg, grid.xi(read.columns) ** 2)
+        read.values *= phase
+        _cumulative_simpson(read.values, tg.dt)
+        read.values *= np.conjugate(phase, out=phase)
         # the convolution weight weight^(arity - 1) rides on the prefactor
         read.values *= -1j * weight**2 if len(term) == 3 else -0.5 * weight**4
-    phase = outer = None
-    closed = dict(zip(dict.fromkeys(members), zip(reads, runs)))
-    total = np.zeros((tg.steps + 1, columns.size), dtype=np.complex128)
-    for member in members:
-        read, pairs = closed[member]
-        for local, union in pairs:
-            total[:, union] += read.values[:, local]
+    phase = None
+    closed = dict(zip(dict.fromkeys(members), reads))
+    columns, total = _sum_on_columns([(closed[m].columns, closed[m].values) for m in members])
     return SpaceTimeFunction._on_columns(tg, grid, columns, total)
 
 

@@ -10,7 +10,9 @@ Conventions fixed once for the whole package:
 A spectrum is stored on its support: the sorted grid indices where it is
 nonzero and its amplitudes there.  Grid points are computed by index,
 xi_j = xi_min + j delta_xi, so nothing on the way from the datum to its
-norms allocates or scans the grid's count of points.
+norms allocates or scans the grid's count of points.  The column helpers
+here (runs, the sum onto a union of columns, the dense view) serve
+picard's frame stacks too.
 """
 
 from __future__ import annotations
@@ -94,14 +96,47 @@ def _nonzero_columns(columns: np.ndarray, values: np.ndarray) -> tuple:
     return columns[nonzero], values[..., nonzero]
 
 
+def _runs(columns: np.ndarray) -> list[tuple[slice, slice]]:
+    """The runs of consecutive values in the sorted `columns`, as pairs
+    (slice of `columns`, slice of the values it holds)."""
+    bounds = [0, *(np.flatnonzero(np.diff(columns) != 1) + 1).tolist(), columns.size]
+    firsts = columns[bounds[:-1]].tolist() if columns.size else []
+    return [(slice(a, b), slice(c, c + b - a)) for a, b, c in zip(bounds, bounds[1:], firsts)]
+
+
+def _cover(intervals) -> np.ndarray:
+    """The sorted integers in a union of closed intervals [first, last]."""
+    runs = []
+    for first, last in sorted(intervals):
+        if runs and first <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], last)
+        else:
+            runs.append([first, last])
+    return np.concatenate([np.arange(a, b + 1) for a, b in runs] + [np.empty(0, dtype=np.intp)])
+
+
 def _sum_on_columns(terms) -> tuple:
-    """(columns, values) of the sum of (columns, values) terms, each
-    scattered onto the union of the columns and added in order."""
-    columns = np.unique(np.concatenate([c for c, _ in terms]))
+    """(columns, values) of the sum of a nonempty list of (columns, values)
+    terms: each is added in order onto the union of the columns, a run of
+    consecutive columns at a time, through slices."""
+    runs = [_runs(c) for c, _ in terms]
+    columns = _cover((held.start, held.stop - 1) for term in runs for _, held in term)
     total = np.zeros(terms[0][1].shape[:-1] + (columns.size,), dtype=np.complex128)
-    for c, v in terms:
-        total[..., np.searchsorted(columns, c)] += v
+    for (_, v), term in zip(terms, runs):
+        starts = np.searchsorted(columns, [held.start for _, held in term]).tolist()
+        for (local, held), at in zip(term, starts):
+            total[..., at : at + held.stop - held.start] += v[..., local]
     return columns, total
+
+
+def _dense(f) -> np.ndarray:
+    """f's stored amplitudes (columns on the last axis) on every grid point:
+    the stored array itself when no column is zero."""
+    if f.columns.size == f.grid.count:
+        return f.amplitudes
+    dense = np.zeros(f.amplitudes.shape[:-1] + (f.grid.count,), dtype=np.complex128)
+    dense[..., f.columns] = f.amplitudes
+    return dense
 
 
 class SpectralFunction:
@@ -134,14 +169,7 @@ class SpectralFunction:
         if not np.all(np.isfinite(self.amplitudes)):
             raise ConfigurationError("spectral values must be finite")
 
-    @property
-    def values(self) -> np.ndarray:
-        """The dense spectrum: the stored array itself when no point is zero."""
-        if self.columns.size == self.grid.count:
-            return self.amplitudes
-        values = np.zeros(self.grid.count, dtype=np.complex128)
-        values[self.columns] = self.amplitudes
-        return values
+    values = property(_dense, doc="The dense spectrum: the stored array itself when no point is zero.")
 
     def __add__(self, other: "SpectralFunction") -> "SpectralFunction":
         if other.grid != self.grid:

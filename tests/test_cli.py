@@ -308,6 +308,17 @@ def test_solve_blowup_exit_4(capsys):
     assert "AccuracyError" in err
 
 
+@pytest.mark.parametrize("amplitude", ["inf", "nan"])
+def test_solve_non_finite_amplitude_exit_2(capsys, amplitude):
+    code, _, err = run(
+        capsys,
+        "solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "4e-4",
+        "--amplitude", amplitude,
+    )
+    assert code == 2
+    assert "ConfigurationError" in err and "samples must be finite" in err
+
+
 def test_inflate_csv_monotone_ratio(capsys):
     code, out, _ = run(
         capsys,

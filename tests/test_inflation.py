@@ -198,14 +198,22 @@ def test_run_experiment_both_methods_agree_at_small_amplitude():
 def test_run_experiment_solver_method_reports_the_solver_final():
     """method="solver" takes its final norm from the solver alone: no series
     ratio or decomposition, and within 5% of the series final."""
-    kwargs = dict(delta=1.0, margin=1.0, points_per_block=8, j_max=1, time_steps=4)
+    kwargs = dict(delta=1.0, margin=1.0, points_per_block=8, j_max=1)
     (r,) = run_experiment(-1.0, None, [64.0], method="solver", **kwargs)
-    (series,) = run_experiment(-1.0, None, [64.0], method="series", **kwargs)
+    (series,) = run_experiment(-1.0, None, [64.0], method="series", time_steps=4, **kwargs)
     assert np.isfinite(r.norm_final) and r.norm_final > 0
     assert r.solver_drift < 1e-8
     assert math.isnan(r.series_ratio)
     assert r.decomposition == {}
     assert r.norm_final == pytest.approx(series.norm_final, rel=0.05)
+
+
+def test_run_experiment_refuses_time_steps_for_the_solver_before_any_setup(monkeypatch):
+    """The solver builds no time grid, so method="solver" refuses
+    time_steps rather than drop it, before any N is set up."""
+    monkeypatch.setattr(inflation, "choose_params", lambda *args: pytest.fail("an N was set up"))
+    with pytest.raises(ConfigurationError, match="does not read --time-steps"):
+        run_experiment(-1.0, None, [64.0], method="solver", time_steps=4)
 
 
 def test_run_experiment_rejects_unknown_method():

@@ -10,7 +10,7 @@ from scipy.signal import fftconvolve
 
 import gdnls.picard as picard
 from gdnls.errors import AccuracyError, ConfigurationError, ResourceError
-from gdnls.estimates import generation_setup
+from gdnls.estimates import generation_setup, verify_lemma25
 from gdnls.inflation import DEFAULT_BUMP_RADIUS, choose_params
 from gdnls.picard import (
     SpaceTimeFunction,
@@ -86,6 +86,13 @@ def test_duhamel_requires_shared_grids():
     w = free_frames(phi, other_tg)
     with pytest.raises(ConfigurationError):
         duhamel_J(v, v, w)
+
+
+def test_duhamel_requires_a_symmetric_grid():
+    grid = FrequencyGrid(xi_min=-4.0, delta_xi=1.0, count=8)
+    v = free_frames(SpectralFunction(grid, np.ones(grid.count)), TimeGrid(t_max=P.T, steps=4))
+    with pytest.raises(ConfigurationError, match="symmetric about 0"):
+        duhamel_J(v, v, v)
 
 
 def test_cubic_linearity_per_slot():
@@ -866,6 +873,35 @@ def test_generation_peak_at_the_gen2_benchmark_parameters():
         tracemalloc.stop()
     assert out.values.shape == (33, 1002)
     assert peak < 10 * out.values.nbytes
+
+
+def _scaled_params(k: int) -> ParameterSet:
+    """(N, A, R, T) = (64, 16, 4, 1/64^2) under the DNLS scaling by lam = 4^k,
+    u(t, x) -> lam^(1/2) u(lam^2 t, lam x): (lam N, lam A, lam^(-1/2) R, T / lam^2)."""
+    lam = 4.0**k
+    return ParameterSet(s=-1.0, N=64.0 * lam, A=16.0 * lam, R=4.0 / 2.0**k, T=1 / 64**2 / lam**2)
+
+
+def _scaled_levels(k: int) -> list:
+    params = _scaled_params(k)
+    grid = default_grid(params, generations=3, points_per_block=8)
+    return series_levels(make_phi(params, grid, min_points_per_block=8), TimeGrid(t_max=params.T, steps=64), 3)
+
+
+@pytest.mark.parametrize("k", [1, 5, 10, 20])
+def test_series_is_scale_covariant_bit_for_bit(k):
+    """The scaling takes a spectrum f(xi) to lam^(-1/2) f(xi / lam).  With
+    8 points per block both grids hold the same indices, and at lam = 4^k
+    every factor of every operation (delta_xi, xi, xi^2 dt, the weights, R)
+    is scaled by a power of 2, so levels 0-3 sit on the same columns with
+    bitwise 2^k times the scaled run's values, and lemma 2.5's scale-free
+    ratios are bitwise equal."""
+    for base, scaled in zip(_scaled_levels(0), _scaled_levels(k)):
+        assert np.array_equal(base.columns, scaled.columns)
+        assert np.array_equal(base.values, 2.0**k * scaled.values)
+    for kk, p in [(1, 0), (0, 1), (1, 1), (0, 2)]:
+        want = verify_lemma25(_scaled_params(0), kk, p, points_per_block=8, time_steps=32).ratios
+        assert verify_lemma25(_scaled_params(k), kk, p, points_per_block=8, time_steps=32).ratios == want
 
 
 # the series sums i v_t + v_xx = v^2 d_x conj(v) - (i/2)|v|^4 v, whose Duhamel
