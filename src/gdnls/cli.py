@@ -3,7 +3,7 @@
 Subcommands: trees, norms, iterate, verify, solve, inflate.  A JSON config
 file may supply any long-option value; explicit flags win.  Exit codes:
 0 success, 2 configuration error, 3 resource-limit error, 4 accuracy or
-divergence error.
+divergence error (a float overflow included).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, estimates, frames, inflation, picard, solver, spectrum, trees
-from .errors import ConfigurationError, GdnlsError, ResourceError
+from .errors import AccuracyError, ConfigurationError, GdnlsError, ResourceError
 
 __all__ = ["main"]
 
@@ -80,7 +80,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=int)
     p.add_argument("--method", choices=("series", "solver", "both"))
     p.add_argument("--j-max", type=int,
-                   help="series truncation level (2 gives the tail diagnostic)")
+                   help="series truncation level, default 2 (2 gives the tail diagnostic); "
+                        "not read by --method solver")
     p.add_argument("--no-perturbation", action="store_true",
                    help="use psi = 0 instead of the default smooth bump")
     return parser, sub.choices
@@ -435,8 +436,12 @@ def main(argv=None) -> int:
         _apply_defaults(args)
         payload = _COMMANDS[args.command](args)
         _emit(args, payload)
-    except (GdnlsError, MemoryError) as exc:
-        error = exc if isinstance(exc, GdnlsError) else ResourceError(f"out of memory: {exc}".rstrip(": "))
+    except (GdnlsError, MemoryError, OverflowError) as exc:
+        error = exc
+        if isinstance(exc, MemoryError):
+            error = ResourceError(f"out of memory: {exc}".rstrip(": "))
+        elif isinstance(exc, OverflowError):
+            error = AccuracyError(f"float overflow: {exc}")
         print(f"error:{type(error).__name__}:{args.command}", file=sys.stderr)
         print(str(error), file=sys.stderr)
         return error.exit_code

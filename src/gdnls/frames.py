@@ -1,5 +1,5 @@
-"""Serialization: CSV for spectra and space-time data, and the compact
-binary frame format.
+"""Serialization: CSV for spectra, and the compact binary frame format for
+space-time data.
 
 Binary layout (little-endian):
 
@@ -16,7 +16,6 @@ Binary layout (little-endian):
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import struct
 from pathlib import Path
@@ -35,7 +34,6 @@ __all__ = [
     "read_frames",
     "spectral_to_csv",
     "spectral_from_csv",
-    "spacetime_to_csv",
 ]
 
 
@@ -136,16 +134,3 @@ def _check_three_cells(rows: list[str]) -> None:
     if bad is not None:
         raise ConfigurationError(f"CSV row {bad} does not have three cells xi,re,im")
 
-
-def spacetime_to_csv(stf: SpaceTimeFunction, path_or_buf) -> None:
-    with _opened(path_or_buf, "w") as buf:
-        buf.write("t,xi,re,im\n")
-        for t, frame in zip(stf.time_grid.times, stf.frames):
-            for xi, v in zip(stf.grid.xis, frame):
-                buf.write(f"{float(t)!r},{float(xi)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def to_string(writer, obj) -> str:
-    buf = io.StringIO()
-    writer(obj, buf)
-    return buf.getvalue()

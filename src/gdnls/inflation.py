@@ -252,7 +252,7 @@ def run_experiment(
     delta: float = 0.1,
     margin: float = DEFAULT_MARGIN,
     points_per_block: int = 16,
-    j_max: int = 2,
+    j_max: int | None = None,
     time_steps: int | None = None,
 ) -> list[InflationResult]:
     """One InflationResult per swept N (ordered by N).
@@ -261,13 +261,18 @@ def run_experiment(
     final norm ||v(T)||_{H^s} are measured by the requested method.
     Condition failures are recorded per N, never fatal.  Every N is set up,
     the series' TimeGrid and the solver's torus only for the methods that run,
-    before the first is computed, so each refusal comes before any work;
-    `time_steps` with method "solver", which builds no TimeGrid, is refused.
+    before the first is computed, so each refusal comes before any work.
+    The series sums levels up to `j_max` (default 2); method "solver", which
+    sums no series and builds no TimeGrid, refuses `j_max` and `time_steps`
+    and runs on the generation-1 grid.
     """
     if method not in ("series", "solver", "both"):
         raise ConfigurationError(f"unknown method {method!r}")
     if method == "solver" and time_steps is not None:
         raise ConfigurationError("method 'solver' does not read --time-steps (time_steps): it builds no time grid")
+    if method == "solver" and j_max is not None:
+        raise ConfigurationError("method 'solver' does not read --j-max (j_max): it sums no series")
+    j_max = 2 if j_max is None else j_max
     if j_max < 1:
         raise ConfigurationError(f"j_max must be >= 1 (got {j_max}): the decomposition uses level 1")
     radius = 0.0 if psi is None else float(np.max(np.abs(psi.grid.xi(psi.columns)), initial=0))
@@ -276,7 +281,7 @@ def run_experiment(
         params = choose_params(s, N, delta)
         conditions = check_conditions(params, n, margin=margin)
         if method == "solver":
-            grid = default_grid(params, j_max, points_per_block, psi_radius=radius)
+            grid = default_grid(params, 1, points_per_block, psi_radius=radius)
             tg, phi = None, make_phi(params, grid, min_points_per_block=points_per_block)
         else:
             grid, tg, phi = generation_setup(params, j_max, params.T, points_per_block, time_steps, radius)

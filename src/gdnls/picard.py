@@ -51,7 +51,8 @@ block is wider than its operand's hull, so L <= next_fast_len(2 half + 1).
 
 Edge test: mass at |offset| >= half - 1 above CLIP_TOL of the term's peak,
 both read over the buckets' intervals, raises an AccuracyError naming the
-term and the xi-interval that overflowed.
+term and the xi-interval that overflowed.  A bucket modulus that is not
+finite (the product overflowed float64) raises one first.
 
 Time closure: each class's product is multiplied by exp(i t xi^2), integrated
 by cumulative Simpson and multiplied by exp(-i t xi^2), in place on the
@@ -94,7 +95,6 @@ __all__ = [
     "duhamel_J",
     "duhamel_K",
     "psi",
-    "first_iterate_quintic_exact",
     "xi_generation",
     "xi_level",
     "series_levels",
@@ -349,6 +349,9 @@ class _Readout:
 
     def check_edges(self, term, delta_xi: float) -> None:
         """The edge test of the module docstring."""
+        name = "J" if len(term) == 3 else "K"
+        if not all(np.isfinite(mags).all() for mags in self.mags.values()):
+            raise AccuracyError(f"{name} product overflowed float64: the data are too large for the series")
         peaks = {base: self.mags[base][residues] for base, (residues, _) in self.cells.items()}
         peak = max(p.max() for p in peaks.values())
         edge, named = 0.0, []
@@ -360,7 +363,7 @@ class _Readout:
                 named += over.min(), over.max()
         if named:
             raise AccuracyError(
-                f"{'J' if len(term) == 3 else 'K'} product clipped at the grid edge: relative mass "
+                f"{name} product clipped at the grid edge: relative mass "
                 f"{edge / peak:.2e} > {CLIP_TOL:.1e} at xi in "
                 f"[{min(named) * delta_xi:.6g}, {max(named) * delta_xi:.6g}]; widen the grid"
             )
@@ -601,62 +604,3 @@ def level_summary(finals: list[SpectralFunction]) -> tuple:
     tail = l2s[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else float("inf")
     return total, l2s, ratio, tail
 
-
-MAX_ORACLE_LATTICE = 90  # guard: the direct oracle builds S^4 arrays
-
-
-def first_iterate_quintic_exact(phi: SpectralFunction, t: float) -> SpectralFunction:
-    """Direct-sum oracle for the quintic first iterate K^5[S(t) phi].
-
-    Quadrature over (xi_1..xi_4) on the support lattice of phi with
-    xi_5 = xi - xi_1 + xi_2 - xi_3 + xi_4, using the closed-form time factor
-    E(Phi, t) = (exp(i t Phi) - 1) / (i Phi) (4th-order Taylor fallback for
-    |Phi| t < 1e-4).  Independent of the FFT-convolution / Simpson path.
-    """
-    grid, S = phi.grid, phi.columns.size
-    if S > MAX_ORACLE_LATTICE:
-        raise ResourceError(
-            f"oracle lattice size {S} exceeds {MAX_ORACLE_LATTICE}; use a coarser grid"
-        )
-    xs = grid.xi(phi.columns)
-    amps = phi.amplitudes
-
-    x1 = xs[:, None, None, None]
-    x2 = xs[None, :, None, None]
-    x3 = xs[None, None, :, None]
-    x4 = xs[None, None, None, :]
-    shift = x1 - x2 + x3 - x4
-    quad = -(x1**2) + x2**2 - x3**2 + x4**2
-    prod4 = (
-        amps[:, None, None, None]
-        * np.conj(amps)[None, :, None, None]
-        * amps[None, None, :, None]
-        * np.conj(amps)[None, None, None, :]
-    )
-
-    # the output indices j1 - j2 + j3 - j4 + j5 on the grid: the signed
-    # Minkowski sum of the support
-    columns = np.zeros(1, dtype=np.intp)
-    for sign in (1, -1, 1, -1, 1):
-        columns = np.unique(columns[:, None] + sign * phi.columns)
-    columns = columns[(columns >= 0) & (columns < grid.count)]
-    dxi = grid.delta_xi
-    out = np.zeros(columns.size, dtype=np.complex128)
-    pref = -0.5 * (dxi / (2 * np.pi)) ** 4
-    for n, j in enumerate(columns):
-        xi = grid.xi(j)
-        xi5 = xi - shift
-        i5 = np.rint((xi5 - grid.xi_min) / dxi).astype(np.intp)
-        at = np.searchsorted(phi.columns, i5).clip(max=S - 1)
-        a5 = np.where(phi.columns[at] == i5, amps[at], 0.0)
-        if not np.any(a5):
-            continue
-        big_phi = xi**2 + quad - xi5**2
-        z = t * big_phi
-        small = np.abs(z) < 1e-4
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_factor = (np.exp(1j * z) - 1.0) / (1j * big_phi)
-        zt = 1j * z[small]
-        e_factor[small] = t * (1.0 + zt / 2.0 + zt**2 / 6.0 + zt**3 / 24.0)
-        out[n] = pref * np.exp(-1j * t * xi**2) * np.sum(prod4 * a5 * e_factor)
-    return SpectralFunction._on_columns(grid, columns, out)

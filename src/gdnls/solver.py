@@ -1,5 +1,5 @@
 """Pseudospectral integrator for the gauged derivative NLS on a large
-periodic box, plus the gauge transform linking it to the ungauged equation.
+periodic box, and the conversions between its states and line spectra.
 
 The equation integrated is
 
@@ -18,8 +18,7 @@ K < M / 3 and the kept modes are alias-free.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,18 +30,13 @@ from .spectrum import FrequencyGrid, SpectralFunction
 __all__ = [
     "TorusConfig",
     "PhysicalState",
-    "gauge",
-    "ungauge",
     "step_gdnls",
     "solve_gdnls",
-    "solve_dnls",
     "state_from_spectrum",
     "spectrum_from_state",
 ]
 
 C_STAB = 2.0
-EDGE_FRACTION = 0.05
-EDGE_MASS_TOL = 1e-6
 # in cells; the 1e-9 spacing tolerance lets points drift ~1e-4 cells over 2^16 points
 LATTICE_TOL = 1e-3
 
@@ -135,40 +129,6 @@ class PhysicalState:
     @property
     def mass(self) -> float:
         return float(self.config.dx * np.sum(np.abs(self.samples) ** 2))
-
-
-def _left_anchored_phase(samples: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoid of |samples|^2 from the left edge, 0 at x_0."""
-    density = np.abs(samples) ** 2
-    return np.concatenate(([0.0], np.cumsum(dx * (density[1:] + density[:-1]) / 2.0)))
-
-
-def _rotated(state: PhysicalState, unit: complex) -> PhysicalState:
-    """The state times exp(unit Phi(x)), Phi the cumulative integral of
-    |state|^2 from the left edge of the box; a state with more than
-    EDGE_MASS_TOL of its mass at that edge is refused."""
-    edge = int(math.ceil(EDGE_FRACTION * state.config.modes))
-    total = np.sum(np.abs(state.samples) ** 2)
-    left = np.sum(np.abs(state.samples[:edge]) ** 2)
-    if left > EDGE_MASS_TOL * total:
-        raise ConfigurationError(
-            f"left-edge mass fraction {left / total:.2e} exceeds {EDGE_MASS_TOL}; "
-            "the left-anchored gauge integral is not a valid stand-in for -infinity"
-        )
-    phase = _left_anchored_phase(state.samples, state.config.dx)
-    return PhysicalState(state.config, np.exp(unit * phase) * state.samples, state.time)
-
-
-def gauge(u: PhysicalState) -> PhysicalState:
-    """Multiply by exp(-i Phi(x)) with Phi the cumulative integral of |u|^2
-    from the left edge of the box.  Preserves |u| pointwise."""
-    return _rotated(u, -1j)
-
-
-def ungauge(v: PhysicalState) -> PhysicalState:
-    """Inverse transform; uses |v| = |u|, so the phase integral is computed
-    from the gauged field itself."""
-    return _rotated(v, 1j)
 
 
 def _nonlinear_hat(config: TorusConfig, v_hat: np.ndarray) -> np.ndarray:
@@ -267,12 +227,6 @@ def solve_gdnls(
     return out
 
 
-def solve_dnls(u0: PhysicalState, t_final: float, **kwargs) -> list[PhysicalState]:
-    """Derived integrator for the ungauged equation: gauge, evolve, ungauge."""
-    gauged = solve_gdnls(gauge(u0), t_final, **kwargs)
-    return [ungauge(s) for s in gauged]
-
-
 def _mode_indices(grid: FrequencyGrid, config: TorusConfig, columns: np.ndarray) -> np.ndarray:
     """Torus mode index k of the grid points `columns`, xi = 2 pi k / L;
     raises when the grid lies off that lattice."""
@@ -314,7 +268,3 @@ def spectrum_from_state(state: PhysicalState, grid: FrequencyGrid) -> SpectralFu
     columns = np.arange(max(-top - first, 0), min(top - first, grid.count - 1) + 1)
     c_hat = scipy.fft.fft(state.samples) / cfg.modes
     return SpectralFunction._on_columns(grid, columns, c_hat[(first + columns) % cfg.modes] * 2 * np.pi / dxi)
-
-
-def reversed_config(config: TorusConfig) -> TorusConfig:
-    return replace(config, dt=-config.dt)

@@ -33,7 +33,6 @@ __all__ = [
     "smooth_bump",
     "sobolev_norm",
     "fl_norm",
-    "free_evolve",
     "resample",
     "norm_report",
     "default_grid",
@@ -301,12 +300,6 @@ def fl_norm(f, p: float):
     if p == math.inf:
         return _per_node(np.max(np.abs(f.amplitudes), axis=-1, initial=0.0))
     raise ConfigurationError("only p = 1 and p = inf are supported")
-
-
-def free_evolve(f: SpectralFunction, t: float) -> SpectralFunction:
-    """Linear Schroedinger flow: multiplication by exp(-i t xi^2)."""
-    phase = np.exp(-1j * t * f.grid.xi(f.columns) ** 2)
-    return SpectralFunction._on_columns(f.grid, f.columns, f.amplitudes * phase)
 
 
 def resample(f: SpectralFunction, grid: FrequencyGrid) -> SpectralFunction:

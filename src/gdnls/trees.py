@@ -22,7 +22,6 @@ DEFAULT_DEPTH_CAP = 4
 
 __all__ = [
     "Tree",
-    "TreeStats",
     "LeafSignature",
     "LEAF",
     "SLOT_KINDS",
@@ -30,7 +29,6 @@ __all__ = [
     "count_trees",
     "compositions",
     "root_splits",
-    "tree_stats",
     "leaf_signature",
     "fitted_growth_constant",
     "tree_to_json",
@@ -61,15 +59,6 @@ LEAF = Tree()
 
 
 @dataclass(frozen=True)
-class TreeStats:
-    n3: int
-    n5: int
-    total: int
-    internal: int
-    terminal: int
-
-
-@dataclass(frozen=True)
 class LeafSignature:
     """Per-leaf flags, in left-to-right leaf order.
 
@@ -80,25 +69,6 @@ class LeafSignature:
 
     conjugated: tuple[bool, ...]
     differentiated: tuple[bool, ...]
-
-
-def tree_stats(tree: Tree) -> TreeStats:
-    n3 = n5 = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if len(node.children) == 3:
-            n3 += 1
-        elif len(node.children) == 5:
-            n5 += 1
-        stack.extend(node.children)
-    return TreeStats(
-        n3=n3,
-        n5=n5,
-        total=3 * n3 + 5 * n5 + 1,
-        internal=n3 + n5,
-        terminal=2 * n3 + 4 * n5 + 1,
-    )
 
 
 # how each slot enters the product, by node arity: J = v1 v2 d/dx conj(v3),

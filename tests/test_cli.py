@@ -66,6 +66,32 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, message, detail):
     assert err.splitlines() == ["error:ResourceError:norms", detail]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command", [["verify", "--lemma", "2.6"], ["iterate"]], ids=["verify-2.6", "iterate"])
+def test_series_overflow_exits_4(capsys, command):
+    """At R = 1e80 the K product overflows float64: the edge test names it."""
+    code, out, err = run(capsys, *command, "--N", "64", "--R", "1e80", "--k", "0", "--p", "1", "--time-steps", "4")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        f"error:AccuracyError:{command[0]}", "K product overflowed float64: the data are too large for the series"
+    ]
+
+
+def test_float_overflow_exits_4(capsys):
+    """Generation (2, 0) at N = A = 1e60, R = 1e20 is finite, but lemma 2.6's
+    bound N^2 (RA)^4 R overflows float ** with an OverflowError."""
+    code, out, err = run(
+        capsys, "verify", "--lemma", "2.6", "--N", "1e60", "--A", "1e60", "--R", "1e20",
+        "--k", "2", "--p", "0", "--time-steps", "4",
+    )
+    assert code == 4
+    assert out == ""
+    first, detail = err.splitlines()
+    assert first == "error:AccuracyError:verify"
+    assert detail.startswith("float overflow: ")
+
+
 def test_verify_lemma28_central_value(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "2.8")
     payload = json.loads(out)
@@ -351,7 +377,7 @@ def test_inflate_solver_mode_cap_exit_3(capsys):
     code, _, err = run(
         capsys,
         "inflate", "--s", "-1", "--N", "4096", "--delta", "1", "--margin", "4",
-        "--points-per-block", "8", "--j-max", "1", "--method", "solver",
+        "--points-per-block", "8", "--method", "solver",
     )
     assert code == 3
     assert "ResourceError" in err
@@ -383,12 +409,17 @@ def test_inflate_setup_refusals_come_before_any_series(capsys, monkeypatch, argv
     assert message in err
 
 
-def test_inflate_solver_method_takes_no_time_grid(capsys):
-    """The solver never reads the series' time grid, so its step cap does
-    not apply: this run's phase would need 6,945 Simpson steps."""
+def test_inflate_solver_method_takes_no_time_grid(capsys, monkeypatch):
+    """The solver never reads the series' time grid: the run succeeds with
+    generation_setup, which builds it, stubbed to fail."""
+
+    def no_time_grid(*args, **kwargs):
+        raise AssertionError("the solver method set up the series' time grid")
+
+    monkeypatch.setattr("gdnls.inflation.generation_setup", no_time_grid)
     code, out, _ = run(
         capsys,
-        "inflate", "--s", "-1", "--N", "24", "--delta", "0.1", "--j-max", "3", "--method", "solver",
+        "inflate", "--s", "-1", "--N", "24", "--delta", "0.1", "--method", "solver",
         "--points-per-block", "1", "--format", "json",
     )
     assert code == 0
@@ -680,6 +711,7 @@ _UNREAD_FLAG_RUNS = {
     "trees-count": (["trees", "--count", "2", "1"], "--depth-cap", "1"),
     "solve-initial-csv": ([*_SOLVE, "--initial-csv", "{csv}"], "--amplitude", "7"),
     "inflate-method-solver": (["inflate", "--N", "64", "--method", "solver"], "--time-steps", "8"),
+    "inflate-method-solver-j-max": (["inflate", "--N", "64", "--method", "solver"], "--j-max", "2"),
 }
 
 

@@ -5,16 +5,10 @@ import numpy as np
 import pytest
 
 from gdnls.errors import ConfigurationError
-from gdnls.frames import (
-    read_frames,
-    spacetime_to_csv,
-    spectral_from_csv,
-    spectral_to_csv,
-    to_string,
-    write_frames,
-)
+from gdnls.frames import read_frames, spectral_from_csv, spectral_to_csv, write_frames
 from gdnls.picard import SpaceTimeFunction, TimeGrid
 from gdnls.spectrum import FrequencyGrid, SpectralFunction
+from oracles import to_string
 
 
 @pytest.fixture
@@ -154,16 +148,6 @@ def test_spectral_csv_names_unreadable_files(tmp_path):
     binary.write_bytes(b"xi,re,im\n\xff,0,0\n")
     with pytest.raises(ConfigurationError, match="spectrum CSV is not text"):
         spectral_from_csv(binary)
-
-
-def test_spacetime_csv_layout(sample):
-    text = to_string(spacetime_to_csv, sample)
-    lines = text.splitlines()
-    assert lines[0] == "t,xi,re,im"
-    assert len(lines) == 1 + 5 * sample.grid.count
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == sample.grid.xi_min
 
 
 def test_reading_takes_about_one_stack(tmp_path):

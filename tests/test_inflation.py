@@ -7,6 +7,9 @@ import pytest
 from gdnls import estimates, inflation, picard
 from gdnls.errors import ConfigurationError
 from gdnls.inflation import (
+    DEFAULT_BUMP_RADIUS,
+    _solver_config,
+    _solver_final,
     check_conditions,
     choose_params,
     default_perturbation,
@@ -21,7 +24,9 @@ from gdnls.spectrum import (
     default_grid,
     make_phi,
     norm_report,
+    resample,
     smooth_bump,
+    sobolev_norm,
 )
 
 
@@ -123,8 +128,6 @@ def test_s_zero_incompatibility_reported():
 def test_default_perturbation_unit_norm():
     grid = FrequencyGrid.symmetric(32.0, 0.0625)
     psi = default_perturbation(grid, -1.0)
-    from gdnls.spectrum import sobolev_norm
-
     assert sobolev_norm(psi, -1.0) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -198,9 +201,9 @@ def test_run_experiment_both_methods_agree_at_small_amplitude():
 def test_run_experiment_solver_method_reports_the_solver_final():
     """method="solver" takes its final norm from the solver alone: no series
     ratio or decomposition, and within 5% of the series final."""
-    kwargs = dict(delta=1.0, margin=1.0, points_per_block=8, j_max=1)
+    kwargs = dict(delta=1.0, margin=1.0, points_per_block=8)
     (r,) = run_experiment(-1.0, None, [64.0], method="solver", **kwargs)
-    (series,) = run_experiment(-1.0, None, [64.0], method="series", time_steps=4, **kwargs)
+    (series,) = run_experiment(-1.0, None, [64.0], method="series", j_max=1, time_steps=4, **kwargs)
     assert np.isfinite(r.norm_final) and r.norm_final > 0
     assert r.solver_drift < 1e-8
     assert math.isnan(r.series_ratio)
@@ -214,6 +217,40 @@ def test_run_experiment_refuses_time_steps_for_the_solver_before_any_setup(monke
     monkeypatch.setattr(inflation, "choose_params", lambda *args: pytest.fail("an N was set up"))
     with pytest.raises(ConfigurationError, match="does not read --time-steps"):
         run_experiment(-1.0, None, [64.0], method="solver", time_steps=4)
+
+
+def test_run_experiment_refuses_j_max_for_the_solver_before_any_setup(monkeypatch):
+    """The solver sums no series, so method="solver" refuses j_max before
+    any N is set up."""
+    monkeypatch.setattr(inflation, "choose_params", lambda *args: pytest.fail("an N was set up"))
+    with pytest.raises(ConfigurationError, match="does not read --j-max"):
+        run_experiment(-1.0, None, [64.0], method="solver", j_max=2)
+
+
+def test_solver_method_final_holds_on_a_deeper_grid(monkeypatch):
+    """The solver-only run takes the generation-1 grid.  The j_max = 3 grid
+    a series would take doubles the torus (2,048 modes against 1,024) and
+    moves the final H^s norm by under 1e-13 relative."""
+    s, N, delta, ppb = -1.0, 24.0, 0.1, 1
+    bump = default_perturbation(FrequencyGrid.symmetric(2 * DEFAULT_BUMP_RADIUS, DEFAULT_BUMP_RADIUS / 64), s)
+    modes = []
+
+    def spy(grid, t_final):
+        config = _solver_config(grid, t_final)
+        modes.append(config.modes)
+        return config
+
+    monkeypatch.setattr(inflation, "_solver_config", spy)
+    (r,) = run_experiment(s, bump, [N], method="solver", delta=delta, points_per_block=ppb)
+    assert modes == [1024]
+    params = choose_params(s, N, delta)
+    radius = float(np.max(np.abs(bump.grid.xi(bump.columns))))
+    grid = default_grid(params, 3, ppb, psi_radius=radius)
+    v0 = make_phi(params, grid, min_points_per_block=ppb) + resample(bump, grid)
+    config = _solver_config(grid, params.T)
+    assert config.modes == 2048
+    solved, _ = _solver_final(v0, config, params.T)
+    assert r.norm_final == pytest.approx(sobolev_norm(solved, s), rel=1e-12)
 
 
 def test_run_experiment_rejects_unknown_method():

@@ -17,7 +17,6 @@ from gdnls.picard import (
     TimeGrid,
     duhamel_J,
     duhamel_K,
-    first_iterate_quintic_exact,
     free_frames,
     level_summary,
     psi,
@@ -34,6 +33,7 @@ from gdnls.spectrum import (
     smooth_bump,
 )
 from gdnls.trees import LEAF, Tree, compositions, enumerate_trees
+from oracles import first_iterate_quintic_exact
 
 # coarse configuration: small enough for the direct-sum oracles
 P = ParameterSet(s=-1.0, N=16.0, A=4.0, R=1.0, T=1e-3)
@@ -902,6 +902,23 @@ def test_series_is_scale_covariant_bit_for_bit(k):
     for kk, p in [(1, 0), (0, 1), (1, 1), (0, 2)]:
         want = verify_lemma25(_scaled_params(0), kk, p, points_per_block=8, time_steps=32).ratios
         assert verify_lemma25(_scaled_params(k), kk, p, points_per_block=8, time_steps=32).ratios == want
+
+
+def _scaled_generations(k: int) -> list:
+    params = _scaled_params(k)
+    grid = default_grid(params, generations=3, points_per_block=8)
+    phi, tg = make_phi(params, grid, min_points_per_block=8), TimeGrid(t_max=params.T, steps=32)
+    return [xi_generation(kk, p, phi, tg) for kk, p in [(2, 0), (1, 1), (0, 2), (1, 2)]]
+
+
+@pytest.mark.parametrize("k", [1, 5, 10, 20])
+def test_generations_are_scale_covariant_bit_for_bit(k):
+    """As for the levels: generations (2,0), (1,1), (0,2) and (1,2), each a
+    sum over its root splits, sit on the same columns with bitwise 2^k times
+    the scaled run's values."""
+    for base, scaled in zip(_scaled_generations(0), _scaled_generations(k)):
+        assert np.array_equal(base.columns, scaled.columns)
+        assert np.array_equal(base.values, 2.0**k * scaled.values)
 
 
 # the series sums i v_t + v_xx = v^2 d_x conj(v) - (i/2)|v|^4 v, whose Duhamel

@@ -14,7 +14,6 @@ from gdnls.spectrum import (
     SpectralFunction,
     default_grid,
     fl_norm,
-    free_evolve,
     make_phi,
     norm_report,
     resample,
@@ -22,6 +21,7 @@ from gdnls.spectrum import (
     sobolev_norm,
 )
 from gdnls.trees import compositions
+from oracles import free_evolve
 
 PARAMS = ParameterSet(s=-1.0, N=256.0, A=16.0, R=4.0, T=1e-6)
 
@@ -216,7 +216,8 @@ def test_grid_points_by_index_are_the_dense_points():
 
 
 def test_spectra_are_stored_on_their_support():
-    from gdnls.frames import spectral_from_csv, spectral_to_csv, to_string
+    from gdnls.frames import spectral_from_csv, spectral_to_csv
+    from oracles import to_string
     from gdnls.picard import TimeGrid, duhamel_K, free_frames
     from gdnls.solver import TorusConfig, spectrum_from_state, state_from_spectrum
 

@@ -18,8 +18,8 @@ from gdnls.trees import (
     root_splits,
     tree_from_json,
     tree_to_json,
-    tree_stats,
 )
+from oracles import tree_stats
 
 
 def test_spot_counts():
