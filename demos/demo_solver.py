@@ -38,7 +38,7 @@ def main():
 
     params = ParameterSet(s=-1.0, N=8.0, A=2.0, R=0.05, T=1e-3)
     grid = default_grid(params, generations=2, points_per_block=8, extra_blocks=4)
-    phi = make_phi(params, grid, min_points_per_block=8)
+    phi = make_phi(params, grid)
     tg = TimeGrid.for_extent(params.T, grid.xi_max)
     total, _, ratio, tail = level_summary([lvl.final for lvl in series_levels(phi, tg, 2)])
     solved, _ = _solver_final(phi, _solver_config(grid, params.T), params.T)

@@ -306,9 +306,8 @@ def _cmd_trees(args) -> dict:
 
 def _cmd_norms(args) -> dict:
     params = _params_from(args)
-    ppb = 64 if args.points_per_block is None else args.points_per_block
-    grid = spectrum.default_grid(params, generations=0, points_per_block=ppb)
-    phi = spectrum.make_phi(params, grid, min_points_per_block=ppb)
+    grid = spectrum.default_grid(params, generations=0, **_given(args, "points_per_block"))
+    phi = spectrum.make_phi(params, grid)
     return spectrum.norm_report(phi, params.s).as_dict()
 
 
@@ -356,7 +355,7 @@ def _cmd_solve(args) -> dict:
     _require(args, "L", "modes", "dt", "T")
     config = solver.TorusConfig(length=args.L, modes=args.modes, dt=args.dt)
     if args.frames_out:
-        steps, every = round(args.T / args.dt), args.checkpoint_every or 0
+        steps, every = solver._step_count(args.T, config.dt), args.checkpoint_every or 0
         intervals = steps // every if every > 0 and steps % every == 0 else 0
         # NIQK1 frames carry no times of their own: they are read back as an
         # even, evenly spaced Simpson grid on [0, t_max]

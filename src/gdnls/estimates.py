@@ -14,7 +14,7 @@ and the supremum of the ratios is one reduction over the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +74,6 @@ class EstimateReport:
     ratios: dict
     passed: bool
     tolerance: float
-    notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -141,7 +140,7 @@ def generation_setup(
         tg = TimeGrid.for_extent(t_max, grid.xi_max)
     else:
         tg = TimeGrid(t_max=t_max, steps=time_steps)
-    phi = make_phi(params, grid, min_points_per_block=points_per_block)
+    phi = make_phi(params, grid)
     return grid, tg, phi
 
 
@@ -228,7 +227,7 @@ def verify_prop29(
     c = ||Xi_1(phi)(t)||_{H^s} / (f_s(A) t R^5 A^4); a margin below 1 is a ConfigurationError."""
     _check_margin(margin)
     N, R, A = params.N, params.R, params.A
-    if t <= 0:
+    if not t > 0:  # also refuses NaN
         raise ConfigurationError("the lower bound needs t > 0")
     if t > TIME_WINDOW_FACTOR * N**-2:
         raise ConfigurationError(

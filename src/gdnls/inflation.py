@@ -31,7 +31,6 @@ __all__ = [
     "default_perturbation",
 ]
 
-CONDITION_IDS = ("i", "ii", "iii", "iv", "v", "vi")
 DEFAULT_BUMP_RADIUS = 8.0
 SOLVER_MODES_CAP = 1 << 15
 S_ZERO_NOTE = (
@@ -49,11 +48,11 @@ def choose_params(s: float, N: float, delta: float) -> ParameterSet:
     Case 3 (-1/2 < s < 0):  A = N^(1+2s+9delta/4), R = N^(-1/2-2s-17delta/8),
     T = N^(-2-delta), with 2s + 9delta/4 < 0 and 2s^2 - 3delta/2 + 9delta s/4 > 0.
     """
-    if s >= 0:
+    if not s < 0:  # also refuses NaN, as do the two checks below
         raise ConfigurationError("norm inflation construction requires s < 0")
-    if delta <= 0:
+    if not delta > 0:
         raise ConfigurationError("delta must be positive")
-    if N <= 1:
+    if not N > 1:
         raise ConfigurationError("need N > 1")
     T = N ** (-2.0 - delta)
     if s < -0.5 - 1e-12:
@@ -223,7 +222,7 @@ def _series_final(v0, phi, params, tg, j_max):
 def _solver_config(grid, t_final: float) -> TorusConfig:
     """The torus on `grid`'s lattice: 3 xi_max/delta_xi modes up to a power of two, at most
     SOLVER_MODES_CAP (else a ResourceError), stepped to t_final at dt <= 0.5/xi_max^2."""
-    need = 3.0 * grid.xi_max / grid.delta_xi
+    need = TorusConfig.dealias_factor * grid.xi_max / grid.delta_xi
     modes = 1 << max(3, math.ceil(math.log2(need)))
     if modes > SOLVER_MODES_CAP:
         raise ResourceError(
@@ -282,7 +281,7 @@ def run_experiment(
         conditions = check_conditions(params, n, margin=margin)
         if method == "solver":
             grid = default_grid(params, 1, points_per_block, psi_radius=radius)
-            tg, phi = None, make_phi(params, grid, min_points_per_block=points_per_block)
+            tg, phi = None, make_phi(params, grid)
         else:
             grid, tg, phi = generation_setup(params, j_max, params.T, points_per_block, time_steps, radius)
         config = None if method == "series" else _solver_config(grid, params.T)

@@ -121,10 +121,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ConfigurationError("t_max must be positive")
-        if self.steps < 4 or self.steps % 2:
-            raise ConfigurationError("steps must be even and >= 4 (composite Simpson)")
+        if not 0 < self.t_max < math.inf:  # also refuses NaN
+            raise ConfigurationError("t_max must be positive and finite")
+        if self.steps < MIN_TIME_STEPS or self.steps % 2:
+            raise ConfigurationError(f"steps must be even and >= {MIN_TIME_STEPS} (composite Simpson)")
 
     @property
     def dt(self) -> float:
@@ -474,17 +474,19 @@ def _accumulate(terms) -> SpaceTimeFunction:
                 last[id(v), "plain", size, hull] = n
             last[id(v), kind, size, hull] = n
     reads = [None] * len(classes)
-    for first in range(0, tg.steps + 1, chunk):
-        rows = slice(first, first + chunk)
-        spectra = {}
-        for n, (term, size, hull) in enumerate(zip(classes, sizes, hulls)):
-            buckets = _fold(slots(term, size, hull, rows))
-            for key in [key for key in spectra if last[key] == n]:
-                del spectra[key]
-            if reads[n] is None:
-                reads[n] = _Readout(buckets, size, half, tg.steps + 1)
-            reads[n].add(buckets, rows)
-            buckets = None  # read out: freed before the next fold, not after it
+    # a product past float64 is reported by check_edges, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, tg.steps + 1, chunk):
+            rows = slice(first, first + chunk)
+            spectra = {}
+            for n, (term, size, hull) in enumerate(zip(classes, sizes, hulls)):
+                buckets = _fold(slots(term, size, hull, rows))
+                for key in [key for key in spectra if last[key] == n]:
+                    del spectra[key]
+                if reads[n] is None:
+                    reads[n] = _Readout(buckets, size, half, tg.steps + 1)
+                reads[n].add(buckets, rows)
+                buckets = None  # read out: freed before the next fold, not after it
     for term, read in zip(classes, reads):
         read.check_edges(term, grid.delta_xi)
 

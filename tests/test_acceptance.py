@@ -119,7 +119,7 @@ def test_criterion_4_upper_bound_harness():
         p = ParameterSet(s=-1.0, N=256.0, A=A, R=R, T=T)
         assert check_conditions(p, 1, margin=16.0).passed["ii"]
         grid = default_grid(p, generations=2, points_per_block=16)
-        phi = make_phi(p, grid, min_points_per_block=16)
+        phi = make_phi(p, grid)
         tg = TimeGrid(t_max=T, steps=16)
         l2 = lambda f: sobolev_norm(f, 0.0)
         xi1 = l2(xi_level(1, phi, tg).final)
@@ -154,7 +154,7 @@ def test_criterion_5_solver_validity():
 
         p = ParameterSet(s=-1.0, N=8.0, A=2.0, R=0.05, T=1e-3)
         grid = default_grid(p, generations=2, points_per_block=8, extra_blocks=4)
-        phi = make_phi(p, grid, min_points_per_block=8)
+        phi = make_phi(p, grid)
         tg = TimeGrid.for_extent(p.T, grid.xi_max)
         total, _, ratio, tail = level_summary([lvl.final for lvl in series_levels(phi, tg, 2)])
         assert ratio < 1.0

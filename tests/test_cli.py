@@ -66,7 +66,6 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, message, detail):
     assert err.splitlines() == ["error:ResourceError:norms", detail]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("command", [["verify", "--lemma", "2.6"], ["iterate"]], ids=["verify-2.6", "iterate"])
 def test_series_overflow_exits_4(capsys, command):
     """At R = 1e80 the K product overflows float64: the edge test names it."""
@@ -75,6 +74,25 @@ def test_series_overflow_exits_4(capsys, command):
     assert out == ""
     assert err.splitlines() == [
         f"error:AccuracyError:{command[0]}", "K product overflowed float64: the data are too large for the series"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iterate", "--N", "64", "--R", "1e40", "--k", "0", "--p", "1", "--time-steps", "4"],
+        ["norms", "--N", "64", "--R", "1e160"],
+    ],
+    ids=["iterate", "norms"],
+)
+def test_norm_overflow_exits_4(capsys, argv):
+    """Amplitudes past 1e154 are finite, but their squares are not: the H^s
+    norm is refused rather than printed as Infinity."""
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        f"error:AccuracyError:{argv[0]}", "the H^-1 norm overflowed float64: the data are too large"
     ]
 
 
@@ -332,6 +350,35 @@ def test_solve_blowup_exit_4(capsys):
     )
     assert code == 4
     assert "AccuracyError" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--N", "nan"],
+        ["norms", "--N", "64", "--A", "nan"],
+        ["norms", "--N", "64", "--s", "nan"],
+        ["norms", "--N", "64", "--A", "inf"],
+        ["iterate", "--N", "64", "--T", "nan", "--time-steps", "4"],
+        ["verify", "--lemma", "2.9", "--N", "64", "--t", "nan"],
+        ["solve", "--L", "40", "--modes", "64", "--dt", "nan", "--T", "1"],
+        ["solve", "--L", "40", "--modes", "64", "--dt", "1e-3", "--T", "nan"],
+        # refused before anything is written
+        ["solve", "--L", "40", "--modes", "64", "--dt", "1e-3", "--T", "nan", "--frames-out", "unwritten.niqk1"],
+        ["solve", "--L", "nan", "--modes", "64", "--dt", "1e-3", "--T", "1"],
+        ["inflate", "--N", "nan", "--no-perturbation"],
+        ["inflate", "--N", "64", "--delta", "nan", "--no-perturbation"],
+    ],
+    ids=["norms-N", "norms-A", "norms-s", "norms-A-inf", "iterate-T", "verify-t", "solve-dt", "solve-T", "solve-T-frames", "solve-L",
+         "inflate-N", "inflate-delta"],
+)
+def test_nan_option_exits_2(capsys, argv):
+    """A NaN fails every comparison, so each guard is written to refuse it;
+    an infinite A makes the grid spacing A / points_per_block infinite."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == f"error:ConfigurationError:{argv[0]}"
 
 
 @pytest.mark.parametrize("amplitude", ["inf", "nan"])

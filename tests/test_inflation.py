@@ -246,7 +246,7 @@ def test_solver_method_final_holds_on_a_deeper_grid(monkeypatch):
     params = choose_params(s, N, delta)
     radius = float(np.max(np.abs(bump.grid.xi(bump.columns))))
     grid = default_grid(params, 3, ppb, psi_radius=radius)
-    v0 = make_phi(params, grid, min_points_per_block=ppb) + resample(bump, grid)
+    v0 = make_phi(params, grid) + resample(bump, grid)
     config = _solver_config(grid, params.T)
     assert config.modes == 2048
     solved, _ = _solver_final(v0, config, params.T)

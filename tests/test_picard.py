@@ -148,7 +148,7 @@ def test_support_minkowski_arithmetic():
 def test_edge_clipping_detected():
     params = ParameterSet(s=-1.0, N=16.0, A=4.0, R=1.0, T=1e-3)
     tight = FrequencyGrid.symmetric(3.5 * params.N, 0.5)  # covers phi but not products
-    phi = make_phi(params, tight, min_points_per_block=8)
+    phi = make_phi(params, tight)
     tg = TimeGrid(t_max=params.T, steps=8)
     v = free_frames(phi, tg)
     with pytest.raises(AccuracyError):
@@ -420,7 +420,7 @@ def test_perturbed_level_one_gives_the_bits_of_its_terms(monkeypatch):
     take different transform lengths."""
     radius = 64.0
     grid = FrequencyGrid.symmetric(4.9 * radius, P.A / 8)
-    phi = make_phi(P, grid, min_points_per_block=8)
+    phi = make_phi(P, grid)
     bump = smooth_bump(grid, radius, P.s)
     datum = SpectralFunction(grid, phi.values + bump.values)
     tg = TimeGrid(t_max=P.T, steps=8)
@@ -492,7 +492,7 @@ def test_simpson_time_convergence_order():
     on the oscillatory integrand should converge at order >= 3.5."""
     big_t = 2e-2  # strong phase so quadrature error dominates
     grid = default_grid(P, generations=1, points_per_block=8)
-    phi = make_phi(P, grid, min_points_per_block=8)
+    phi = make_phi(P, grid)
     want = first_iterate_quintic_exact(phi, big_t)
     errs = []
     for steps in (16, 32, 64):
@@ -577,7 +577,7 @@ def _perturbed_datum(radius=8.0, generations=3):
     """phi plus a bump of the given radius on the default grid of that
     generation."""
     grid = default_grid(P, generations=generations, points_per_block=8, psi_radius=radius)
-    phi = make_phi(P, grid, min_points_per_block=8)
+    phi = make_phi(P, grid)
     return SpectralFunction(grid, phi.values + smooth_bump(grid, radius, P.s).values)
 
 
@@ -707,7 +707,7 @@ def test_perturbed_levels_fit_the_default_grid(j):
     tg = TimeGrid(t_max=params.T, steps=8)
 
     def levels(grid):
-        phi = make_phi(params, grid, min_points_per_block=8)
+        phi = make_phi(params, grid)
         bump = smooth_bump(grid, radius, params.s)
         return series_levels(SpectralFunction(grid, phi.values + bump.values), tg, j)
 
@@ -727,7 +727,7 @@ def test_perturbed_levels_fit_the_default_grid(j):
 def test_level_summary_converges_at_small_amplitude():
     params = ParameterSet(s=-1.0, N=16.0, A=4.0, R=0.1, T=1e-3)
     grid = default_grid(params, generations=2, points_per_block=8)
-    phi = make_phi(params, grid, min_points_per_block=8)
+    phi = make_phi(params, grid)
     tg = TimeGrid(t_max=params.T, steps=16)
     finals = [level.final for level in series_levels(phi, tg, 2)]
     total, level_l2, ratio, tail = level_summary(finals)
@@ -767,7 +767,7 @@ def test_series_memory_follows_the_support():
     """Level 1 of phi on a 10^5-point grid takes memory for its support, not
     for the dense (steps + 1, count) stack."""
     grid = FrequencyGrid.symmetric(25_000.0, P.A / 8)
-    phi = make_phi(P, grid, min_points_per_block=8)
+    phi = make_phi(P, grid)
     tg = TimeGrid(t_max=P.T, steps=8)
     dense = (tg.steps + 1) * grid.count * 16
     tracemalloc.start()
@@ -847,7 +847,7 @@ def test_quintic_against_direct_oracle_at_large_n(N):
     1.49e-10 at both N (1.67e-10 at N = 16, where the blocks overlap less)."""
     params = ParameterSet(s=-1.0, N=N, A=4.0, R=1.0, T=0.256 / N**2)
     grid = default_grid(params, generations=1, points_per_block=8)
-    phi = make_phi(params, grid, min_points_per_block=8)
+    phi = make_phi(params, grid)
     assert phi.columns.size == 16 and grid.count > 10**10
     v = free_frames(phi, TimeGrid(t_max=params.T, steps=64))
     got = duhamel_K(v, v, v, v, v).final
@@ -885,7 +885,7 @@ def _scaled_params(k: int) -> ParameterSet:
 def _scaled_levels(k: int) -> list:
     params = _scaled_params(k)
     grid = default_grid(params, generations=3, points_per_block=8)
-    return series_levels(make_phi(params, grid, min_points_per_block=8), TimeGrid(t_max=params.T, steps=64), 3)
+    return series_levels(make_phi(params, grid), TimeGrid(t_max=params.T, steps=64), 3)
 
 
 @pytest.mark.parametrize("k", [1, 5, 10, 20])
@@ -907,7 +907,7 @@ def test_series_is_scale_covariant_bit_for_bit(k):
 def _scaled_generations(k: int) -> list:
     params = _scaled_params(k)
     grid = default_grid(params, generations=3, points_per_block=8)
-    phi, tg = make_phi(params, grid, min_points_per_block=8), TimeGrid(t_max=params.T, steps=32)
+    phi, tg = make_phi(params, grid), TimeGrid(t_max=params.T, steps=32)
     return [xi_generation(kk, p, phi, tg) for kk, p in [(2, 0), (1, 1), (0, 2), (1, 2)]]
 
 

@@ -34,8 +34,9 @@ def test_config_validation():
         TorusConfig(length=L, modes=100, dt=1e-4)  # not a power of two
     with pytest.raises(ConfigurationError):
         TorusConfig(length=L, modes=M, dt=0.0)
-    with pytest.raises(ConfigurationError):
-        TorusConfig(length=L, modes=M, dt=1e-4, dealias_factor=2)
+    for length, dt in [(np.nan, 1e-4), (np.inf, 1e-4), (L, np.nan)]:
+        with pytest.raises(ConfigurationError):
+            TorusConfig(length=length, modes=M, dt=dt)
 
 
 def test_mass_conservation():
@@ -123,8 +124,9 @@ def test_stability_bound_enforced():
 
 def test_t_final_must_align():
     cfg = TorusConfig(length=L, modes=M, dt=1e-4)
-    with pytest.raises(ConfigurationError):
-        solve_gdnls(gaussian_state(cfg), 1.5e-4)
+    for t_final in (1.5e-4, np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            solve_gdnls(gaussian_state(cfg), t_final)
 
 
 def test_blowup_detected():
@@ -139,6 +141,14 @@ def test_checkpoints():
     traj = solve_gdnls(gaussian_state(cfg), 0.01, checkpoint_every=25)
     assert len(traj) == 5  # initial + checkpoints at steps 25, 50, 75, 100
     assert traj[-1].time == pytest.approx(0.01)
+
+
+def test_negative_checkpoint_every_is_refused(monkeypatch):
+    """i % -3 would checkpoint every 3 steps: the sign must not be dropped."""
+    monkeypatch.setattr(solver, "_rk4_step", None)  # refused before any step
+    cfg = TorusConfig(length=L, modes=M, dt=1e-4)
+    with pytest.raises(ConfigurationError, match="checkpoint_every"):
+        solve_gdnls(gaussian_state(cfg), 0.01, checkpoint_every=-3)
 
 
 def test_dnls_solver_round_trip_consistency():
@@ -247,11 +257,11 @@ def test_spectrum_conversion_rejects_off_lattice_grid():
         spectrum_from_state(gaussian_state(cfg), grid)
 
 
-def nonlinear_hat_3m_reference(config, v_hat):
+def nonlinear_hat_3m_reference(config, v_hat, pad_factor=3):
     """Reference for _nonlinear_hat: G of v's modes |k| < M/2 on a grid of
-    dealias_factor * M points, truncated to the kept band."""
+    pad_factor * M points, truncated to the kept band."""
     m = config.modes
-    pad = config.dealias_factor * m
+    pad = pad_factor * m
     padded = np.zeros(pad, dtype=np.complex128)
     padded[: m // 2] = v_hat[: m // 2]
     padded[-(m // 2) :] = v_hat[-(m // 2) :]
@@ -267,11 +277,6 @@ def nonlinear_hat_3m_reference(config, v_hat):
     idx = np.fft.fftfreq(m, d=1.0 / m).astype(int)
     g_hat[np.abs(idx) > config.band_limit] = 0.0
     return g_hat
-
-
-@pytest.mark.parametrize("modes, pad", [(64, 128), (1 << 16, 1 << 17)])
-def test_pad_is_the_band_alias_free_length(modes, pad):
-    assert TorusConfig(length=L, modes=modes, dt=1e-4).pad == pad
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -315,18 +320,19 @@ def test_trajectory_matches_3m_reference(monkeypatch):
     assert abs(drift_got - drift_want) <= 1e-14
 
 
-@pytest.mark.parametrize("dealias_factor", [3, 4, 5])
+@pytest.mark.parametrize("pad_factor", [3, 4, 5])
 @pytest.mark.parametrize("modes", [8, 64, 256])
-def test_band_edge_datum_is_alias_free_on_the_product_grid(modes, dealias_factor):
+def test_band_edge_datum_is_alias_free_on_the_product_grid(modes, pad_factor):
     """G is sampled on the M grid and its half-cell shift, 2M points in all;
-    modes at +-K and one interior mode must match the d*M reference."""
-    cfg = TorusConfig(length=L, modes=modes, dt=1e-4, dealias_factor=dealias_factor)
-    assert cfg.pad == 2 * modes
+    modes at +-K = +-(M // 3) and one interior mode must match the reference
+    on d*M points, which is alias-free for every d >= 3."""
+    cfg = TorusConfig(length=L, modes=modes, dt=1e-4)
     band = cfg.band_limit
+    assert band == modes // 3
     v_hat = np.zeros(modes, dtype=np.complex128)
     v_hat[band] = v_hat[-band] = modes
     v_hat[band // 2] += modes / 2
-    want = nonlinear_hat_3m_reference(cfg, v_hat)
+    want = nonlinear_hat_3m_reference(cfg, v_hat, pad_factor)
     assert np.max(np.abs(_nonlinear_hat(cfg, v_hat) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -339,11 +345,6 @@ def test_nonlinear_hat_matches_3m_reference_across_sizes(modes):
     v_hat[np.abs(idx) > cfg.band_limit] = 0.0
     want = nonlinear_hat_3m_reference(cfg, v_hat)
     assert np.max(np.abs(_nonlinear_hat(cfg, v_hat) - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_config_rejects_an_empty_band():
-    with pytest.raises(ConfigurationError):
-        TorusConfig(length=L, modes=8, dt=1e-4, dealias_factor=9)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])

@@ -80,10 +80,7 @@ def test_phi_two_blocks_half_open():
     assert phi.values[grid.index_of(2 * N + A / 2)] == 0
 
 
-def test_phi_requires_resolution_and_coverage():
-    coarse = FrequencyGrid.symmetric(1000.0, PARAMS.A)  # 1 point per block
-    with pytest.raises(ConfigurationError):
-        make_phi(PARAMS, coarse)
+def test_phi_requires_coverage():
     narrow = FrequencyGrid.symmetric(100.0, 0.25)  # support not covered
     with pytest.raises(ConfigurationError):
         make_phi(PARAMS, narrow)
@@ -112,6 +109,21 @@ def test_fl_norm_rejects_other_exponents():
     f = SpectralFunction(grid, np.ones(grid.count))
     with pytest.raises(ConfigurationError):
         fl_norm(f, 2)
+
+
+def test_norms_past_float64_are_accuracy_errors():
+    """Finite amplitudes whose squares, sum or modulus pass float64 give
+    non-finite norms: each is refused, not returned."""
+    grid = FrequencyGrid.symmetric(4.0, 1.0)
+    big = SpectralFunction(grid, np.full(grid.count, 1e160))
+    for s in (-1.0, 0.0):
+        with pytest.raises(AccuracyError, match=f"H\\^{s:g} norm overflowed"):
+            sobolev_norm(big, s)
+    assert fl_norm(big, 1) == 8e160  # trapezoid weights on 9 points
+    huge = SpectralFunction(grid, np.full(grid.count, 1.5e308 * (1 + 1j)))
+    for p in ("1", "inf"):
+        with pytest.raises(AccuracyError, match=f"FL\\^{p} norm overflowed"):
+            fl_norm(huge, float(p))
 
 
 def test_free_evolution_preserves_moduli():
@@ -222,7 +234,7 @@ def test_spectra_are_stored_on_their_support():
     from gdnls.solver import TorusConfig, spectrum_from_state, state_from_spectrum
 
     grid = default_grid(PARAMS, generations=1, points_per_block=8)
-    phi = make_phi(PARAMS, grid, min_points_per_block=8)
+    phi = make_phi(PARAMS, grid)
     bump = smooth_bump(FrequencyGrid.symmetric(16.0, 0.125), 8.0, -1.0)
     v = free_frames(phi, TimeGrid(t_max=PARAMS.T, steps=4))
     k = duhamel_K(v, v, v, v, v)
@@ -278,7 +290,7 @@ def test_block_columns_are_the_dense_masks(N, A, ppb):
     mask = np.zeros(grid.count, dtype=bool)
     for center in (2 * N, 3 * N):
         mask |= (xis >= center - A / 2) & (xis < center + A / 2)
-    phi = make_phi(params, grid, min_points_per_block=ppb)
+    phi = make_phi(params, grid)
     assert np.array_equal(phi.columns, np.flatnonzero(mask))
     assert np.all(phi.amplitudes == 2.5)
     for radius in (A, A / 2 + grid.delta_xi / 3, N):
@@ -346,7 +358,7 @@ def test_phi_block_that_float64_cannot_place_is_an_accuracy_error():
     params = choose_params(-1.0, 2.0**60, 1.0)
     grid = default_grid(params, 1, 8)
     with pytest.raises(AccuracyError, match="holds 7 grid points, fewer than the 8"):
-        make_phi(params, grid, min_points_per_block=8)
+        make_phi(params, grid)
 
 
 def test_resample_onto_its_own_grid_and_of_an_empty_spectrum():
