@@ -184,29 +184,28 @@ _LEMMA_FLAGS = {
     "2.10": (*_DATUM_FLAGS, "j"),
 }
 
-# flags other subcommands read only in some runs: (flag, whether this run
-# reads it, the runs that do not); set in any other run, it is an error
-_RUN_FLAGS = {
-    "trees": ("depth_cap", lambda args: args.enumerate is not None, "trees without --enumerate"),
-    "solve": ("amplitude", lambda args: args.initial_csv is None, "solve --initial-csv"),
-}
+# flags other subcommands read only in some runs: (subcommand, flag, whether
+# this run reads it, the runs that do not); set in any other run, it is an
+# error, and the first such flag is named
+_RUN_FLAGS = [
+    ("trees", "enumerate", lambda args: args.count is None, "trees --count"),
+    ("trees", "depth_cap", lambda args: args.enumerate is not None, "trees without --enumerate"),
+    ("solve", "amplitude", lambda args: args.initial_csv is None, "solve --initial-csv"),
+]
 
 
 def _check_unread_flags(args: argparse.Namespace) -> None:
     """Reject flags that this run does not read; runs before the defaults
     fill them."""
+    for command, flag, reads, runs in _RUN_FLAGS:
+        if command == args.command and getattr(args, flag) is not None and not reads(args):
+            raise ConfigurationError(f"{runs} does not read --{flag.replace('_', '-')}")
     if args.command == "verify":
         read = {"command", "config", "output", "format", "lemma", *_LEMMA_FLAGS[args.lemma]}
         unread = sorted(k for k, v in vars(args).items() if v is not None and k not in read)
-        runs = f"verify --lemma {args.lemma}"
-    elif args.command in _RUN_FLAGS:
-        flag, reads, runs = _RUN_FLAGS[args.command]
-        unread = [flag] if getattr(args, flag) is not None and not reads(args) else []
-    else:
-        return
-    if unread:
-        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
-        raise ConfigurationError(f"{runs} does not read {flags}")
+        if unread:
+            flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+            raise ConfigurationError(f"verify --lemma {args.lemma} does not read {flags}")
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:

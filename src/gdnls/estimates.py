@@ -185,7 +185,7 @@ def verify_lemma25(
     N, R, A = params.N, params.R, params.A
     j = k + p
     xi = xi_kp.grid.xi(xi_kp.columns)
-    deriv = SpaceTimeFunction._on_columns(xi_kp.time_grid, xi_kp.grid, xi_kp.columns, 1j * xi * xi_kp.values)
+    deriv = SpaceTimeFunction._on_columns(xi_kp.time_grid, xi_kp.grid, xi_kp.columns, 1j * xi * xi_kp.amplitudes)
     ratios = {
         "fl1": _sup(fl_norm(xi_kp, 1), times, j, N**k * (R * A) ** (2 * k + 4 * p + 1)),
         "fl_inf": _sup(fl_norm(xi_kp, math.inf), times, j, N**k * (R * A) ** (2 * k + 4 * p) * R),

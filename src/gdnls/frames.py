@@ -47,8 +47,8 @@ def write_frames(stf: SpaceTimeFunction, path: str | Path) -> None:
     frame = np.zeros(grid.count, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        for values in stf.values:
-            frame[stf.columns] = values
+        for amplitudes in stf.amplitudes:
+            frame[stf.columns] = amplitudes
             fh.write(frame.data)
 
 

@@ -214,7 +214,6 @@ def _series_final(v0, phi, params, tg, j_max):
         "xi0_v0_h_s": sobolev_norm(levels_v0[0], s),
         "perturbation_j1_h_s": sobolev_norm(pert1, s),
         "xi2_phi_h_s": xi2_phi,
-        "tail_l2_extrapolated": tail,
     }
     return total, decomposition, tail, ratio
 

@@ -4,11 +4,12 @@ by level recursion; per-tree evaluation (psi) is the recursion's test oracle.
 Everything lives on one shared symmetric frequency grid and one shared
 uniform time grid, so operators nest without re-integration: an inner
 iterate is available at every quadrature node of the outer time integral.
-A space-time function is stored on its support, the sorted columns nonzero
-at some time node, and so is each of its frames (a SpectralFunction on the
-columns nonzero at that node).  The series path (free_frames, the Duhamel
-products, the level and generation recursions, the finals and their sum)
-works and allocates in proportion to that support, not to the grid's count.
+A space-time function is a SpectralFunction with a time axis, stored on
+its support, the sorted columns nonzero at some time node, and so is each
+of its frames (a SpectralFunction on the columns nonzero at that node).
+The series path (free_frames, the Duhamel products, the level and
+generation recursions, the finals and their sum) works and allocates in
+proportion to that support, not to the grid's count.
 
 Product structure on the Fourier side (with the package convention
 f_hat = int f exp(-i x xi) dx):
@@ -85,7 +86,7 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import AccuracyError, ConfigurationError, ResourceError
 from .spectrum import (
-    FrequencyGrid, SpectralFunction, _cover, _dense, _nonzero_columns, _runs, _sum_on_columns, sobolev_norm
+    FrequencyGrid, SpectralFunction, _cover, _runs, _sum_on_columns, sobolev_norm
 )
 from .trees import SLOT_KINDS, Tree, compositions, root_splits
 
@@ -151,59 +152,47 @@ class TimeGrid:
         return cls(t_max=t_max, steps=steps)
 
 
-class SpaceTimeFunction:
-    """One SpectralFunction per time node, stored on its support: `columns`
-    holds the sorted grid indices that are nonzero at some node and `values`
-    the (steps+1, len(columns)) stack on them; every other column is 0.
-    `frames` is the dense (steps+1, count) view."""
+class SpaceTimeFunction(SpectralFunction):
+    """A SpectralFunction with a time axis: one spectrum per node of
+    `time_grid`.  `columns` holds the sorted grid indices that are nonzero
+    at some node and `amplitudes` the (steps+1, len(columns)) stack on them;
+    `values`, also named `frames`, is the dense (steps+1, count) view.  A
+    norm gives one value per node, and `+` and `-` need one time grid too."""
 
     def __init__(self, time_grid: TimeGrid, grid: FrequencyGrid, frames: np.ndarray):
         frames = np.asarray(frames, dtype=np.complex128)
         expected = (time_grid.steps + 1, grid.count)
         if frames.shape != expected:
             raise ConfigurationError(f"frames shape {frames.shape}, expected {expected}")
-        self._store(time_grid, grid, np.arange(grid.count), frames)
+        self.time_grid = time_grid
+        self._store(grid, np.arange(grid.count), frames)
 
     @classmethod
-    def _on_columns(cls, time_grid, grid, columns, values) -> "SpaceTimeFunction":
+    def _on_columns(cls, time_grid, grid, columns, amplitudes) -> "SpaceTimeFunction":
         """A stack given on the sorted grid indices `columns`."""
-        stf = cls.__new__(cls)
-        stf._store(time_grid, grid, columns, values)
+        stf = super()._on_columns(grid, columns, amplitudes)
+        stf.time_grid = time_grid
         return stf
 
-    def _store(self, time_grid, grid, columns: np.ndarray, values: np.ndarray) -> None:
-        self.time_grid, self.grid = time_grid, grid
-        self.columns, self.values = _nonzero_columns(columns, values)
+    @property
+    def _grids(self) -> tuple:
+        return self.time_grid, self.grid
 
-    frames = property(_dense, doc="The dense stack: the stored array itself when no column is zero.")
+    frames = SpectralFunction.values
 
     def at_index(self, i: int) -> SpectralFunction:
         # a copy, so that the frame does not keep the whole stack alive
-        return SpectralFunction._on_columns(self.grid, self.columns, self.values[i].copy())
-
-    # the stored stack under SpectralFunction's name: a norm gives one value per node
-    amplitudes = property(lambda self: self.values)
+        return SpectralFunction._on_columns(self.grid, self.columns, self.amplitudes[i].copy())
 
     @property
     def final(self) -> SpectralFunction:
         return self.at_index(self.time_grid.steps)
 
-    def __add__(self, other: "SpaceTimeFunction") -> "SpaceTimeFunction":
-        _check_compatible(self, other)
-        columns, values = _sum_on_columns([(self.columns, self.values), (other.columns, other.values)])
-        return SpaceTimeFunction._on_columns(self.time_grid, self.grid, columns, values)
-
-    def __sub__(self, other: "SpaceTimeFunction") -> "SpaceTimeFunction":
-        # a + (-b) rounds as a - b
-        return self + SpaceTimeFunction._on_columns(other.time_grid, other.grid, other.columns, -other.values)
-
 
 def _check_compatible(*fns: SpaceTimeFunction) -> None:
-    tg, grid = fns[0].time_grid, fns[0].grid
-    for f in fns[1:]:
-        if f.time_grid != tg or f.grid != grid:
-            raise ConfigurationError("operands must share time and frequency grids")
-    if not grid.is_symmetric:
+    if any(f._grids != fns[0]._grids for f in fns[1:]):
+        raise ConfigurationError("operands must share time and frequency grids")
+    if not fns[0].grid.is_symmetric:
         raise ConfigurationError("shared grid must be symmetric about 0")
 
 
@@ -425,7 +414,7 @@ def _accumulate(terms) -> SpaceTimeFunction:
         if key not in spectra:
             source = (id(v), "plain", size, hull) if kind == "conj" else key
             if source not in spectra:
-                values, runs = v.values[rows], layout(v, hull)
+                values, runs = v.amplitudes[rows], layout(v, hull)
                 stack = np.zeros((len(runs), len(values), size), dtype=np.complex128)
                 for row, (start, stop) in zip(stack, runs):
                     sel = slice(*np.searchsorted(v.columns, (start, stop)))

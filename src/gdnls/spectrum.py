@@ -10,9 +10,10 @@ Conventions fixed once for the whole package:
 A spectrum is stored on its support: the sorted grid indices where it is
 nonzero and its amplitudes there.  Grid points are computed by index,
 xi_j = xi_min + j delta_xi, so nothing on the way from the datum to its
-norms allocates or scans the grid's count of points.  The column helpers
-here (runs, the sum onto a union of columns, the dense view) serve
-picard's frame stacks too.
+norms allocates or scans the grid's count of points.  picard's frame
+stack, SpaceTimeFunction, is a SpectralFunction with a time axis, so the
+storage, the dense view, `+` and `-` here serve it too, as do the column
+helpers (runs, the sum onto a union of columns) its Duhamel products use.
 """
 
 from __future__ import annotations
@@ -125,24 +126,16 @@ def _sum_on_columns(terms) -> tuple:
     return columns, total
 
 
-def _dense(f) -> np.ndarray:
-    """f's stored amplitudes (columns on the last axis) on every grid point:
-    the stored array itself when no column is zero."""
-    if f.columns.size == f.grid.count:
-        return f.amplitudes
-    dense = np.zeros(f.amplitudes.shape[:-1] + (f.grid.count,), dtype=np.complex128)
-    dense[..., f.columns] = f.amplitudes
-    return dense
-
-
 class SpectralFunction:
     """Complex amplitudes f_hat(xi_j) on a FrequencyGrid, stored on their
     support: `columns` holds the sorted grid indices where f_hat is nonzero
-    and `amplitudes` its values there; every other point is 0.  `values` is
-    the dense view on all `count` points, built on read.
+    and `amplitudes` its values there (columns on the last axis); every other
+    point is 0.  `values` is the dense view on all `count` points, built on
+    read.  An amplitude that is not finite is a ConfigurationError.
 
     SpectralFunction(grid, values) takes a dense array and keeps its nonzero
-    entries; an array with no zero is kept as it is, not copied."""
+    entries; an array with no zero is kept as it is, not copied.  picard's
+    SpaceTimeFunction subclasses it with a time axis before the columns."""
 
     def __init__(self, grid: FrequencyGrid, values):
         values = np.asarray(values, dtype=np.complex128)
@@ -165,17 +158,30 @@ class SpectralFunction:
         if not np.all(np.isfinite(self.amplitudes)):
             raise ConfigurationError("spectral values must be finite")
 
-    values = property(_dense, doc="The dense spectrum: the stored array itself when no point is zero.")
+    @property
+    def _grids(self) -> tuple:
+        """The grids that `_on_columns` takes before the columns."""
+        return (self.grid,)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense view: the stored array itself when no column is zero."""
+        if self.columns.size == self.grid.count:
+            return self.amplitudes
+        dense = np.zeros(self.amplitudes.shape[:-1] + (self.grid.count,), dtype=np.complex128)
+        dense[..., self.columns] = self.amplitudes
+        return dense
 
     def __add__(self, other: "SpectralFunction") -> "SpectralFunction":
-        if other.grid != self.grid:
-            raise ConfigurationError("operands must share one frequency grid")
+        # a spectrum and a frame stack have different grids, so never add
+        if other._grids != self._grids:
+            raise ConfigurationError("operands must share one frequency grid and one time grid or none")
         terms = [(self.columns, self.amplitudes), (other.columns, other.amplitudes)]
-        return SpectralFunction._on_columns(self.grid, *_sum_on_columns(terms))
+        return self._on_columns(*self._grids, *_sum_on_columns(terms))
 
     def __sub__(self, other: "SpectralFunction") -> "SpectralFunction":
         # a + (-b) rounds as a - b
-        return self + SpectralFunction._on_columns(other.grid, other.columns, -other.amplitudes)
+        return self + other._on_columns(*other._grids, other.columns, -other.amplitudes)
 
 
 @dataclass(frozen=True)

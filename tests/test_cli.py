@@ -753,38 +753,41 @@ def test_solve_frames_carry_package_spectrum(capsys, tmp_path):
 
 
 _SOLVE = ["solve", "--L", "40", "--modes", "256", "--dt", "1e-4", "--T", "1e-3"]
-# per case: the run, and a flag with its value that this run does not read
+# per case: the run, and a flag with its values that this run does not read
 _UNREAD_FLAG_RUNS = {
-    "trees-count": (["trees", "--count", "2", "1"], "--depth-cap", "1"),
-    "solve-initial-csv": ([*_SOLVE, "--initial-csv", "{csv}"], "--amplitude", "7"),
-    "inflate-method-solver": (["inflate", "--N", "64", "--method", "solver"], "--time-steps", "8"),
-    "inflate-method-solver-j-max": (["inflate", "--N", "64", "--method", "solver"], "--j-max", "2"),
+    "trees-count": (["trees", "--count", "2", "1"], "--depth-cap", ["1"]),
+    "trees-count-enumerate": (["trees", "--count", "1", "1"], "--enumerate", ["1", "0"]),
+    "solve-initial-csv": ([*_SOLVE, "--initial-csv", "{csv}"], "--amplitude", ["7"]),
+    "inflate-method-solver": (["inflate", "--N", "64", "--method", "solver"], "--time-steps", ["8"]),
+    "inflate-method-solver-j-max": (["inflate", "--N", "64", "--method", "solver"], "--j-max", ["2"]),
 }
 
 
 def _unread_flag_run(tmp_path, case):
     csv = tmp_path / "g.csv"
     _csv_spectrum(csv, -85, 171)
-    argv, flag, value = _UNREAD_FLAG_RUNS[case]
-    return [a.format(csv=csv) for a in argv], flag, value
+    argv, flag, values = _UNREAD_FLAG_RUNS[case]
+    return [a.format(csv=csv) for a in argv], flag, values
 
 
 @pytest.mark.parametrize("case", sorted(_UNREAD_FLAG_RUNS))
 def test_flag_the_run_does_not_read_exit_2(capsys, tmp_path, case):
-    argv, flag, value = _unread_flag_run(tmp_path, case)
-    code, _, err = run(capsys, *argv, flag, value)
+    argv, flag, values = _unread_flag_run(tmp_path, case)
+    code, _, err = run(capsys, *argv, flag, *values)
     assert code == 2
-    assert "ConfigurationError" in err
+    assert err.startswith(f"error:ConfigurationError:{argv[0]}\n")
     assert f"does not read {flag}" in err
 
 
 @pytest.mark.parametrize("case", sorted(_UNREAD_FLAG_RUNS))
 def test_config_key_the_run_does_not_read_exit_2(capsys, tmp_path, case):
-    argv, flag, value = _unread_flag_run(tmp_path, case)
+    argv, flag, values = _unread_flag_run(tmp_path, case)
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): int(value)}))
+    value = [int(v) for v in values] if len(values) > 1 else int(values[0])
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
     code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 2
+    assert err.startswith(f"error:ConfigurationError:{argv[0]}\n")
     assert f"does not read {flag}" in err
 
 
@@ -843,6 +846,6 @@ def test_write_checkpoints_builds_the_stack_once(tmp_path):
     assert peak < 2.4 * count * modes * 16
     back = read_frames(path)
     assert np.array_equal(back.columns, np.arange(1, modes))
-    for row, state in zip(back.values, trajectory):
+    for row, state in zip(back.amplitudes, trajectory):
         f = spectrum_from_state(state, back.grid)
         assert np.array_equal(row[f.columns - 1], f.amplitudes)

@@ -19,5 +19,7 @@ def test_every_demo_is_collected():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, cwd=ROOT)
+    # pyproject's filterwarnings does not reach a subprocess: a numeric warning fails the demo here too
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=ROOT)
     assert result.returncode == 0, result.stderr

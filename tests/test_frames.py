@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gdnls.cli import main
 from gdnls.errors import ConfigurationError
 from gdnls.frames import read_frames, spectral_from_csv, spectral_to_csv, write_frames
 from gdnls.picard import SpaceTimeFunction, TimeGrid
@@ -74,6 +75,31 @@ def test_truncated_file_rejected(sample, tmp_path):
     path.write_bytes(blob[:10])
     with pytest.raises(ConfigurationError):
         read_frames(path)
+
+
+def test_nan_payload_rejected(sample, tmp_path):
+    """A NaN in the payload is refused on reading, as it is in a spectrum CSV."""
+    path = tmp_path / "frames.niqk1"
+    write_frames(sample, path)
+    blob = bytearray(path.read_bytes())
+    at = len(blob) - 8 * 7  # one float64 of the last frame
+    blob[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        read_frames(path)
+
+
+def test_solve_frames_subtract_from_themselves(tmp_path):
+    """A `gdnls solve` frame file lies on the torus grid of M points, which
+    is not symmetric about 0; its stack minus itself is the empty stack."""
+    path = tmp_path / "s.niqk"
+    argv = ["solve", "--L", "40", "--modes", "64", "--dt", "1e-3", "--T", "0.004"]
+    assert main([*argv, "--checkpoint-every", "1", "--frames-out", str(path)]) == 0
+    back = read_frames(path)
+    assert not back.grid.is_symmetric and back.columns.size > 0
+    diff = back - back
+    assert diff.columns.size == 0 and diff.amplitudes.shape == (5, 0)
+    assert diff.grid == back.grid and diff.time_grid == back.time_grid
 
 
 def test_spectral_csv_round_trip(sample):
@@ -170,5 +196,5 @@ def test_reading_takes_about_one_stack(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * stack
-    assert back.values.flags.writeable and back.columns.size == grid.count - 1
+    assert back.amplitudes.flags.writeable and back.columns.size == grid.count - 1
     assert np.array_equal(back.columns, np.arange(1, grid.count))

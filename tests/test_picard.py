@@ -747,11 +747,23 @@ def test_spacetime_addition_checks_grids():
         v + w
 
 
+def test_spectrum_and_stack_never_add():
+    """A spectrum and a frame stack on one frequency grid differ in their
+    time grid, so neither sum nor difference is defined, in either order."""
+    grid, phi, tg = coarse_setup()
+    v = free_frames(phi, tg)
+    for a, b in ((phi, v), (v, phi)):
+        with pytest.raises(ConfigurationError, match="share one frequency grid"):
+            a + b
+        with pytest.raises(ConfigurationError, match="share one frequency grid"):
+            a - b
+
+
 def _assert_stored_on_support(v):
     """`columns` are exactly the columns the dense scan finds nonzero, so
     blocks, transform lengths and bits follow the dense stack."""
     assert np.array_equal(v.columns, np.flatnonzero(np.any(v.frames, axis=0)))
-    assert v.values.shape == (v.time_grid.steps + 1, v.columns.size)
+    assert v.amplitudes.shape == (v.time_grid.steps + 1, v.columns.size)
 
 
 def test_stacks_are_stored_on_their_support():
@@ -792,7 +804,7 @@ def test_dense_stacks_round_trip_through_their_columns():
     assert np.array_equal(v.at_index(3).values, dense[3])
     # a stack nonzero on every column is stored as given
     full = np.ones((tg.steps + 1, grid.count), dtype=np.complex128)
-    assert np.shares_memory(SpaceTimeFunction(tg, grid, full).values, full)
+    assert np.shares_memory(SpaceTimeFunction(tg, grid, full).amplitudes, full)
 
 
 def test_zero_operand_gives_an_empty_stack():
@@ -871,8 +883,8 @@ def test_generation_peak_at_the_gen2_benchmark_parameters():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.values.shape == (33, 1002)
-    assert peak < 10 * out.values.nbytes
+    assert out.amplitudes.shape == (33, 1002)
+    assert peak < 10 * out.amplitudes.nbytes
 
 
 def _scaled_params(k: int) -> ParameterSet:
@@ -898,7 +910,7 @@ def test_series_is_scale_covariant_bit_for_bit(k):
     ratios are bitwise equal."""
     for base, scaled in zip(_scaled_levels(0), _scaled_levels(k)):
         assert np.array_equal(base.columns, scaled.columns)
-        assert np.array_equal(base.values, 2.0**k * scaled.values)
+        assert np.array_equal(base.amplitudes, 2.0**k * scaled.amplitudes)
     for kk, p in [(1, 0), (0, 1), (1, 1), (0, 2)]:
         want = verify_lemma25(_scaled_params(0), kk, p, points_per_block=8, time_steps=32).ratios
         assert verify_lemma25(_scaled_params(k), kk, p, points_per_block=8, time_steps=32).ratios == want
@@ -918,7 +930,7 @@ def test_generations_are_scale_covariant_bit_for_bit(k):
     the scaled run's values."""
     for base, scaled in zip(_scaled_generations(0), _scaled_generations(k)):
         assert np.array_equal(base.columns, scaled.columns)
-        assert np.array_equal(base.values, 2.0**k * scaled.values)
+        assert np.array_equal(base.amplitudes, 2.0**k * scaled.amplitudes)
 
 
 # the series sums i v_t + v_xx = v^2 d_x conj(v) - (i/2)|v|^4 v, whose Duhamel
